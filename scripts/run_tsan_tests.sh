@@ -25,9 +25,10 @@ export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 # capitalized Serve/Chaos suites entirely. StackWalk/Postmortem/
 # StallWatchdog/LockOrder are the postmortem-observability surface: signal
 # rendezvous, lock-free in-flight registry, watchdog thread, and the
-# lock-order detector's hook paths all cross threads.
+# lock-order detector's hook paths all cross threads. MmaConcurrency runs
+# two threads through one shared MMA matcher.
 if [ "$#" -eq 0 ]; then
-  set -- -R '^(Serve|Chaos|Deadline|CircuitBreaker|MixSeed|FaultInjector|StackWalk|Postmortem|InflightRegistry|StallWatchdog|LockOrder)'
+  set -- -R '^(Serve|Chaos|Deadline|CircuitBreaker|MixSeed|FaultInjector|StackWalk|Postmortem|InflightRegistry|StallWatchdog|LockOrder|MmaConcurrency)'
 fi
 
 ctest --test-dir "${build_dir}" -j "${jobs}" --output-on-failure "$@"

@@ -41,6 +41,10 @@ Status RoadNetwork::Finalize() {
   for (const auto& n : nodes_) {
     lat += n.pos.lat;
     lng += n.pos.lng;
+    bounds_.min_lat = std::min(bounds_.min_lat, n.pos.lat);
+    bounds_.max_lat = std::max(bounds_.max_lat, n.pos.lat);
+    bounds_.min_lng = std::min(bounds_.min_lng, n.pos.lng);
+    bounds_.max_lng = std::max(bounds_.max_lng, n.pos.lng);
   }
   projection_ = LocalProjection(
       LatLng{lat / nodes_.size(), lng / nodes_.size()});

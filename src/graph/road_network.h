@@ -30,6 +30,15 @@ struct RoadSegment {
   double speed_mps = 13.9;  ///< free-flow speed used by the simulator
 };
 
+/// Latitude/longitude bounding box; empty (min > max) until it holds a
+/// point.
+struct LatLngBounds {
+  double min_lat = 1e30;
+  double max_lat = -1e30;
+  double min_lng = 1e30;
+  double max_lng = -1e30;
+};
+
 /// A directed road network G=(V,E). Build with AddNode/AddSegment, then call
 /// Finalize() exactly once before using any query method.
 class RoadNetwork {
@@ -89,6 +98,10 @@ class RoadNetwork {
 
   const LocalProjection& projection() const { return projection_; }
 
+  /// Bounding box of all intersections, computed once by Finalize(); the
+  /// min-max normalization range of the learned models' point features.
+  const LatLngBounds& bounds() const { return bounds_; }
+
   /// Maximum out-degree over all nodes (the paper's deg~).
   int MaxOutDegree() const;
 
@@ -103,6 +116,7 @@ class RoadNetwork {
   std::vector<std::vector<SegmentId>> out_segments_;
   std::vector<std::vector<SegmentId>> in_segments_;
   LocalProjection projection_;
+  LatLngBounds bounds_;
 };
 
 }  // namespace trmma

@@ -1,7 +1,5 @@
 #include "mm/deep_mm_lite.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "nn/ops.h"
@@ -27,35 +25,6 @@ DeepMmLiteMatcher::DeepMmLiteMatcher(const RoadNetwork& network,
   optimizer_ = std::make_unique<nn::Adam>(Parameters(), config.lr);
 }
 
-namespace {
-
-nn::Matrix RawFeatures(const RoadNetwork& network, const Trajectory& traj) {
-  double min_lat = 1e30;
-  double max_lat = -1e30;
-  double min_lng = 1e30;
-  double max_lng = -1e30;
-  for (NodeId i = 0; i < network.num_nodes(); ++i) {
-    const LatLng& p = network.node(i).pos;
-    min_lat = std::min(min_lat, p.lat);
-    max_lat = std::max(max_lat, p.lat);
-    min_lng = std::min(min_lng, p.lng);
-    max_lng = std::max(max_lng, p.lng);
-  }
-  const double lat_span = std::max(max_lat - min_lat, 1e-9);
-  const double lng_span = std::max(max_lng - min_lng, 1e-9);
-  const double t0 = traj.points.front().t;
-  const double t_span = std::max(traj.points.back().t - t0, 1e-9);
-  nn::Matrix z(traj.size(), 3);
-  for (int i = 0; i < traj.size(); ++i) {
-    z.at(i, 0) = (traj.points[i].pos.lat - min_lat) / lat_span;
-    z.at(i, 1) = (traj.points[i].pos.lng - min_lng) / lng_span;
-    z.at(i, 2) = (traj.points[i].t - t0) / t_span;
-  }
-  return z;
-}
-
-}  // namespace
-
 Tensor DeepMmLiteMatcher::EncodeHidden(nn::Tape& tape,
                                        const Trajectory& traj) {
   // DeepMM embeds the grid cell of every GPS point; continuous features
@@ -64,9 +33,11 @@ Tensor DeepMmLiteMatcher::EncodeHidden(nn::Tape& tape,
   for (int i = 0; i < traj.size(); ++i) {
     cells[i] = grid_.CellOf(traj.points[i].pos);
   }
+  nn::Matrix features(traj.size(), 3);
+  NormalizedPointFeatures(network_, traj, features.data(), 3);
   Tensor x = ops::Add(
       cell_emb_.Forward(tape, cells),
-      input_fc_.Forward(ops::Input(tape, RawFeatures(network_, traj))));
+      input_fc_.Forward(ops::Input(tape, std::move(features))));
   Tensor h = ops::Input(tape, nn::Matrix(1, config_.hidden_dim));
   std::vector<Tensor> hiddens;
   hiddens.reserve(traj.size());

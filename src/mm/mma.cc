@@ -6,7 +6,9 @@
 #include "common/deadline.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "nn/kernel.h"
 #include "nn/ops.h"
+#include "nn/scratch.h"
 #include "nn/serialize.h"
 #include "nn/telemetry.h"
 #include "obs/flight_recorder.h"
@@ -16,56 +18,24 @@ namespace trmma {
 
 using nn::Tensor;
 
-MmaMatcher::MmaMatcher(const RoadNetwork& network, const SegmentRTree& index,
-                       const MmaConfig& config)
-    : network_(network), index_(index), config_(config),
-      init_rng_(config.seed),
-      seg_emb_(network.num_segments(), config.d0, init_rng_),
-      cand_mlp_(config.d0 + 7, config.d1, config.d2, init_rng_),
-      point_fc_(3, config.d2, init_rng_),
-      point_trans_(config.d2, config.trans_heads, config.trans_ffn,
-                   config.trans_layers, init_rng_),
-      attn_mlp_(2 * config.d2, config.d3, 1, init_rng_) {
-  AddChild(&seg_emb_);
-  AddChild(&cand_mlp_);
-  AddChild(&point_fc_);
-  AddChild(&point_trans_);
-  AddChild(&attn_mlp_);
-  optimizer_ = std::make_unique<nn::Adam>(Parameters(), config.lr);
-}
-
-void MmaMatcher::LoadPretrainedSegmentEmbeddings(const nn::Matrix& table) {
-  seg_emb_.LoadPretrained(table);
-}
-
 namespace {
 
-/// Min-max normalized [lat, lng, t] features (paper §IV-B) for all points.
-nn::Matrix PointFeatures(const RoadNetwork& network, const Trajectory& traj) {
-  double min_lat = 1e30;
-  double max_lat = -1e30;
-  double min_lng = 1e30;
-  double max_lng = -1e30;
-  for (NodeId i = 0; i < network.num_nodes(); ++i) {
-    const LatLng& p = network.node(i).pos;
-    min_lat = std::min(min_lat, p.lat);
-    max_lat = std::max(max_lat, p.lat);
-    min_lng = std::min(min_lng, p.lng);
-    max_lng = std::max(max_lng, p.lng);
-  }
-  const double lat_span = std::max(max_lat - min_lat, 1e-9);
-  const double lng_span = std::max(max_lng - min_lng, 1e-9);
-  const double t0 = traj.points.front().t;
-  const double t_span = std::max(traj.points.back().t - t0, 1e-9);
+/// Geometric features of a candidate, after its W^C embedding in the
+/// candidate MLP's input. Besides the paper's four directional cosines,
+/// each candidate carries its perpendicular distance, projection ratio and
+/// rank — geometric signals the paper's id embeddings absorb from millions
+/// of trips (DESIGN.md §2).
+constexpr int kCandidateFeatures = 7;
 
-  nn::Matrix z0(traj.size(), 3);
-  for (int i = 0; i < traj.size(); ++i) {
-    const GpsPoint& p = traj.points[i];
-    z0.at(i, 0) = (p.pos.lat - min_lat) / lat_span;
-    z0.at(i, 1) = (p.pos.lng - min_lng) / lng_span;
-    z0.at(i, 2) = (p.t - t0) / t_span;
+/// Writes the features of the candidate at `rank` into a zeroed `out`.
+void CandidateFeatures(const MmaConfig& config, const Candidate& cand,
+                       int rank, double* out) {
+  if (config.use_directional) {
+    for (int f = 0; f < 4; ++f) out[f] = cand.cosine[f];
   }
-  return z0;
+  out[4] = cand.distance / 30.0;
+  out[5] = cand.ratio;
+  out[6] = static_cast<double>(rank) / config.kc;
 }
 
 /// Repairs empty candidate columns (possible only on a segmentless network
@@ -93,7 +63,40 @@ bool EnsureNonEmptyCandidates(std::vector<std::vector<Candidate>>* candidates) {
   return true;
 }
 
+/// x += bias on every row, then ReLU: the rest of a hidden layer whose
+/// product is already in x.
+void AddBiasRelu(double* x, int rows, int cols, const double* bias) {
+  for (int r = 0; r < rows; ++r) {
+    double* row = x + static_cast<size_t>(r) * cols;
+    for (int c = 0; c < cols; ++c) row[c] += bias[c];
+  }
+  nn::ReluInPlace(x, rows * cols);
+}
+
 }  // namespace
+
+MmaMatcher::MmaMatcher(const RoadNetwork& network, const SegmentRTree& index,
+                       const MmaConfig& config)
+    : network_(network), index_(index), config_(config),
+      init_rng_(config.seed),
+      seg_emb_(network.num_segments(), config.d0, init_rng_),
+      cand_mlp_(config.d0 + kCandidateFeatures, config.d1, config.d2,
+                init_rng_),
+      point_fc_(3, config.d2, init_rng_),
+      point_trans_(config.d2, config.trans_heads, config.trans_ffn,
+                   config.trans_layers, init_rng_),
+      attn_mlp_(2 * config.d2, config.d3, 1, init_rng_) {
+  AddChild(&seg_emb_);
+  AddChild(&cand_mlp_);
+  AddChild(&point_fc_);
+  AddChild(&point_trans_);
+  AddChild(&attn_mlp_);
+  optimizer_ = std::make_unique<nn::Adam>(Parameters(), config.lr);
+}
+
+void MmaMatcher::LoadPretrainedSegmentEmbeddings(const nn::Matrix& table) {
+  seg_emb_.LoadPretrained(table);
+}
 
 std::vector<Tensor> MmaMatcher::ForwardLogits(
     nn::Tape& tape, const Trajectory& traj,
@@ -101,7 +104,9 @@ std::vector<Tensor> MmaMatcher::ForwardLogits(
   TRMMA_SPAN("mma.forward");
   namespace ops = nn::ops;
   // Point sequence embeddings z^(2) via FC + transformer (Eq. 3).
-  Tensor z0 = ops::Input(tape, PointFeatures(network_, traj));
+  nn::Matrix features(traj.size(), 3);
+  NormalizedPointFeatures(network_, traj, features.data(), 3);
+  Tensor z0 = ops::Input(tape, std::move(features));
   Tensor z2 = point_trans_.Forward(point_fc_.Forward(z0));
 
   std::vector<Tensor> logits;
@@ -112,20 +117,12 @@ std::vector<Tensor> MmaMatcher::ForwardLogits(
     TRMMA_CHECK(!cands.empty());
     const int k = static_cast<int>(cands.size());
 
-    // Candidate embeddings c_j (Eq. 1-2). Besides the paper's four
-    // directional cosines, each candidate carries its perpendicular
-    // distance, projection ratio and rank — geometric signals the paper's
-    // id embeddings absorb from millions of trips (DESIGN.md §2).
+    // Candidate embeddings c_j (Eq. 1-2).
     std::vector<int> ids(k);
-    nn::Matrix feats(k, 7);
+    nn::Matrix feats(k, kCandidateFeatures);
     for (int j = 0; j < k; ++j) {
       ids[j] = cands[j].segment;
-      if (config_.use_directional) {
-        for (int f = 0; f < 4; ++f) feats.at(j, f) = cands[j].cosine[f];
-      }
-      feats.at(j, 4) = cands[j].distance / 30.0;
-      feats.at(j, 5) = cands[j].ratio;
-      feats.at(j, 6) = static_cast<double>(j) / config_.kc;
+      CandidateFeatures(config_, cands[j], j, feats.row(j));
     }
     Tensor emb = seg_emb_.Forward(tape, ids);
     Tensor cmat = cand_mlp_.Forward(
@@ -147,6 +144,125 @@ std::vector<Tensor> MmaMatcher::ForwardLogits(
     logits.push_back(ops::MatMul(cmat, ops::Transpose(point)));  // k x 1
   }
   return logits;
+}
+
+void MmaMatcher::InferLogits(
+    const Trajectory& traj,
+    const std::vector<std::vector<Candidate>>& candidates,
+    std::vector<double>* logits) const {
+  TRMMA_SPAN("mma.forward");
+  using nn::Gemm;
+  using nn::Scratch;
+  const int n = traj.size();
+  const int d0 = config_.d0;
+  const int d1 = config_.d1;
+  const int d2 = config_.d2;
+  const int d3 = config_.d3;
+  // Point i owns candidate rows [first[i], first[i + 1]).
+  std::vector<int> first(n + 1, 0);
+  for (int i = 0; i < n; ++i) {
+    // Invariant enforced by EnsureNonEmptyCandidates at every call site.
+    TRMMA_CHECK(!candidates[i].empty());
+    first[i + 1] = first[i] + static_cast<int>(candidates[i].size());
+  }
+  const int rows = first[n];
+  nn::ScratchFrame frame;
+
+  // Point sequence embeddings z^(2) via FC + transformer (Eq. 3), once
+  // over the n points.
+  double* z0 = Scratch::Raw(static_cast<size_t>(n) * 3);
+  NormalizedPointFeatures(network_, traj, z0, 3);
+  double* z = Scratch::Raw(static_cast<size_t>(n) * d2);
+  point_fc_.Infer(z0, n, 3, z, d2);
+  point_trans_.Infer(z, n);
+
+  // Candidate embeddings c_j (Eq. 1-2), one kernel call per layer over all
+  // rows. The first layer's input is [W^C row | features]; its W^C half
+  // depends only on the segment, so it is computed once per distinct
+  // segment of the request, and each row then continues that sum over its
+  // own features — the same bits as the whole product (nn/kernel.h).
+  thread_local std::vector<int> slot_of_segment;
+  if (static_cast<int>(slot_of_segment.size()) < network_.num_segments()) {
+    slot_of_segment.resize(network_.num_segments(), -1);
+  }
+  std::vector<int> distinct;
+  std::vector<int> slot(rows);
+  for (int i = 0; i < n; ++i) {
+    for (size_t j = 0; j < candidates[i].size(); ++j) {
+      int& s = slot_of_segment[candidates[i][j].segment];
+      if (s < 0) {
+        s = static_cast<int>(distinct.size());
+        distinct.push_back(candidates[i][j].segment);
+      }
+      slot[first[i] + j] = s;
+    }
+  }
+  for (int seg : distinct) slot_of_segment[seg] = -1;
+  const int num_distinct = static_cast<int>(distinct.size());
+
+  const nn::Matrix& table = seg_emb_.table().value;
+  const double* w1 = cand_mlp_.fc1().weight().value.data();
+  double* emb = Scratch::Raw(static_cast<size_t>(num_distinct) * d0);
+  for (int s = 0; s < num_distinct; ++s) {
+    std::copy_n(table.row(distinct[s]), d0, emb + s * d0);
+  }
+  double* seg_part = Scratch::Zeros(static_cast<size_t>(num_distinct) * d1);
+  Gemm(num_distinct, d1, d0, emb, d0, 1, w1, d1, seg_part, d1);
+
+  double* hidden = Scratch::Raw(static_cast<size_t>(rows) * d1);
+  double* feats =
+      Scratch::Zeros(static_cast<size_t>(rows) * kCandidateFeatures);
+  for (int i = 0; i < n; ++i) {
+    for (size_t j = 0; j < candidates[i].size(); ++j) {
+      const int r = first[i] + static_cast<int>(j);
+      std::copy_n(seg_part + slot[r] * d1, d1, hidden + r * d1);
+      CandidateFeatures(config_, candidates[i][j], static_cast<int>(j),
+                        feats + r * kCandidateFeatures);
+    }
+  }
+  Gemm(rows, d1, kCandidateFeatures, feats, kCandidateFeatures, 1,
+       w1 + d0 * d1, d1, hidden, d1);
+  AddBiasRelu(hidden, rows, d1, cand_mlp_.fc1().bias().value.data());
+  double* cmat = Scratch::Raw(static_cast<size_t>(rows) * d2);
+  cand_mlp_.fc2().Infer(hidden, rows, d1, cmat, d2);
+
+  // Point embeddings p_i with candidate-context attention (Eq. 7-8).
+  const double* point = z;  // TRMMA-C ablation: p_i = z_i
+  if (config_.use_candidate_context) {
+    // The attention MLP's input is [z_i | c_j]: the z_i half of its first
+    // layer is computed once per point, and each of the point's rows
+    // continues it over c_j.
+    const double* wa = attn_mlp_.fc1().weight().value.data();
+    double* z_part = Scratch::Zeros(static_cast<size_t>(n) * d3);
+    Gemm(n, d3, d2, z, d2, 1, wa, d3, z_part, d3);
+    double* attn_hidden = Scratch::Raw(static_cast<size_t>(rows) * d3);
+    for (int i = 0; i < n; ++i) {
+      for (int r = first[i]; r < first[i + 1]; ++r) {
+        std::copy_n(z_part + i * d3, d3, attn_hidden + r * d3);
+      }
+    }
+    Gemm(rows, d3, d2, cmat, d2, 1, wa + d2 * d3, d3, attn_hidden, d3);
+    AddBiasRelu(attn_hidden, rows, d3, attn_mlp_.fc1().bias().value.data());
+    double* alpha = Scratch::Raw(rows);
+    attn_mlp_.fc2().Infer(attn_hidden, rows, d3, alpha, 1);
+
+    double* fused = Scratch::Zeros(static_cast<size_t>(n) * d2);
+    for (int i = 0; i < n; ++i) {
+      const int k = first[i + 1] - first[i];
+      double* p = fused + i * d2;
+      nn::SoftmaxRow(alpha + first[i], k);
+      Gemm(1, d2, k, alpha + first[i], k, 1, cmat + first[i] * d2, d2, p, d2);
+      for (int c = 0; c < d2; ++c) p[c] = z[i * d2 + c] + p[c];
+    }
+    point = fused;
+  }
+
+  // P(c_j|p_i) logits = c_j . p_i (Eq. 9, pre-sigmoid).
+  logits->assign(rows, 0.0);
+  for (int i = 0; i < n; ++i) {
+    Gemm(first[i + 1] - first[i], 1, d2, cmat + first[i] * d2, d2, 1,
+         point + i * d2, 1, logits->data() + first[i], 1);
+  }
 }
 
 double MmaMatcher::TrainEpoch(const Dataset& dataset, Rng& rng) {
@@ -225,8 +341,42 @@ std::vector<SegmentId> MmaMatcher::MatchPoints(const Trajectory& traj) {
   return MatchPointsWithScores(traj, nullptr);
 }
 
+std::vector<double> MmaMatcher::Logits(
+    const Trajectory& traj,
+    const std::vector<std::vector<Candidate>>& candidates, bool on_tape) {
+  std::vector<double> logits;
+  if (on_tape) {
+    nn::Tape tape;
+    for (const Tensor& point : ForwardLogits(tape, traj, candidates)) {
+      const nn::Matrix& z = point.value();
+      logits.insert(logits.end(), z.data(), z.data() + z.size());
+    }
+  } else {
+    InferLogits(traj, candidates, &logits);
+  }
+  return logits;
+}
+
+std::vector<double> MmaMatcher::CandidateLogits(
+    const Trajectory& traj, std::vector<std::vector<Candidate>> candidates,
+    bool on_tape) {
+  if (!EnsureNonEmptyCandidates(&candidates)) return {};
+  return Logits(traj, candidates, on_tape);
+}
+
 std::vector<SegmentId> MmaMatcher::MatchPointsWithScores(
     const Trajectory& traj, std::vector<double>* scores) {
+  return Match(traj, scores, /*on_tape=*/false);
+}
+
+std::vector<SegmentId> MmaMatcher::MatchPointsReference(
+    const Trajectory& traj, std::vector<double>* scores) {
+  return Match(traj, scores, /*on_tape=*/true);
+}
+
+std::vector<SegmentId> MmaMatcher::Match(const Trajectory& traj,
+                                         std::vector<double>* scores,
+                                         bool on_tape) {
   TRMMA_SPAN("mma.match");
   if (obs::MetricsEnabled()) {
     static obs::Counter* const points =
@@ -275,17 +425,17 @@ std::vector<SegmentId> MmaMatcher::MatchPointsWithScores(
     }
     return out;
   }
-  nn::Tape tape;
-  std::vector<Tensor> logits = ForwardLogits(tape, traj, candidates);
+  const std::vector<double> logits = Logits(traj, candidates, on_tape);
+  const double* point_logits = logits.data();
   for (int i = 0; i < traj.size(); ++i) {
+    const int k = static_cast<int>(candidates[i].size());
     int best = 0;
-    for (int j = 1; j < logits[i].rows(); ++j) {
-      if (logits[i].value().at(j, 0) > logits[i].value().at(best, 0)) {
-        best = j;
-      }
+    for (int j = 1; j < k; ++j) {
+      if (point_logits[j] > point_logits[best]) best = j;
     }
     out[i] = candidates[i][best].segment;
-    const double z = logits[i].value().at(best, 0);
+    const double z = point_logits[best];
+    point_logits += k;
     const double prob = 1.0 / (1.0 + std::exp(-z));
     if (scores != nullptr) (*scores)[i] = prob;
     // Flight recorder: capture the classifier's confidence even when the

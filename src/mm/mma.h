@@ -56,9 +56,25 @@ class MmaMatcher : public MapMatcher, public nn::Module {
   std::vector<SegmentId> MatchPoints(const Trajectory& traj) override;
 
   /// MatchPoints plus per-point probabilities P(c|p_i) of the chosen
-  /// candidates (Eq. 9).
+  /// candidates (Eq. 9). Runs the tape-free pass (InferLogits); safe to
+  /// call from several threads at once.
   std::vector<SegmentId> MatchPointsWithScores(const Trajectory& traj,
                                                std::vector<double>* scores);
+
+  /// MatchPointsWithScores with the logits taken from the training forward
+  /// on the autograd tape (ForwardLogits). The decisions and scores are the
+  /// same bit for bit; kept as the reference for differential tests.
+  std::vector<SegmentId> MatchPointsReference(const Trajectory& traj,
+                                              std::vector<double>* scores);
+
+  /// Logits (Eq. 9, pre-sigmoid) of every candidate of the given columns,
+  /// flat, point by point in candidate order. Empty columns borrow a
+  /// neighbor's as in MatchPoints; the result is empty when all are.
+  /// `on_tape` picks the training forward instead of the tape-free pass;
+  /// the two agree bit for bit. Exposed for differential tests.
+  std::vector<double> CandidateLogits(
+      const Trajectory& traj, std::vector<std::vector<Candidate>> candidates,
+      bool on_tape);
 
   std::string name() const override { return "MMA"; }
 
@@ -75,6 +91,21 @@ class MmaMatcher : public MapMatcher, public nn::Module {
   std::vector<nn::Tensor> ForwardLogits(
       nn::Tape& tape, const Trajectory& traj,
       const std::vector<std::vector<Candidate>>& candidates);
+
+  /// The same logits from one tape-free pass over const weights, flat:
+  /// point i's candidates fill rows [first_i, first_i + kc_i) in candidate
+  /// order. Every MLP layer runs once over all rows (DESIGN.md §15).
+  void InferLogits(const Trajectory& traj,
+                   const std::vector<std::vector<Candidate>>& candidates,
+                   std::vector<double>* logits) const;
+
+  /// Flat logits of non-empty candidate columns from either forward.
+  std::vector<double> Logits(
+      const Trajectory& traj,
+      const std::vector<std::vector<Candidate>>& candidates, bool on_tape);
+
+  std::vector<SegmentId> Match(const Trajectory& traj,
+                               std::vector<double>* scores, bool on_tape);
 
   const RoadNetwork& network_;
   const SegmentRTree& index_;

@@ -1,8 +1,11 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
+#include "nn/kernel.h"
+#include "nn/scratch.h"
 
 namespace trmma {
 namespace nn {
@@ -37,6 +40,39 @@ Tensor MultiHeadAttention::Forward(Tensor query, Tensor keys) {
     heads = h == 0 ? out : ops::ConcatCols(heads, out);
   }
   return ops::MatMulParam(heads, *wo_);
+}
+
+void MultiHeadAttention::InferSelf(const double* x, int rows,
+                                   double* out) const {
+  const int d = model_dim_;
+  const int hd = head_dim_;
+  const size_t nd = static_cast<size_t>(rows) * d;
+  ScratchFrame frame;
+  double* q = Scratch::Zeros(nd);
+  double* k = Scratch::Zeros(nd);
+  double* v = Scratch::Zeros(nd);
+  Gemm(rows, d, d, x, d, 1, wq_->value.data(), d, q, d);
+  Gemm(rows, d, d, x, d, 1, wk_->value.data(), d, k, d);
+  Gemm(rows, d, d, x, d, 1, wv_->value.data(), d, v, d);
+
+  // Heads are written straight into their column block of `heads`, which
+  // is what ConcatCols of the per-head products holds.
+  const double inv_sqrt_d = 1.0 / std::sqrt(static_cast<double>(hd));
+  double* heads = Scratch::Zeros(nd);
+  double* kt = Scratch::Raw(static_cast<size_t>(hd) * rows);
+  double* scores = Scratch::Raw(static_cast<size_t>(rows) * rows);
+  for (int h = 0; h < num_heads_; ++h) {
+    for (int p = 0; p < hd; ++p) {
+      for (int j = 0; j < rows; ++j) kt[p * rows + j] = k[j * d + h * hd + p];
+    }
+    std::fill_n(scores, rows * rows, 0.0);
+    Gemm(rows, rows, hd, q + h * hd, d, 1, kt, rows, scores, rows);
+    for (int i = 0; i < rows * rows; ++i) scores[i] *= inv_sqrt_d;
+    for (int r = 0; r < rows; ++r) SoftmaxRow(scores + r * rows, rows);
+    Gemm(rows, hd, rows, scores, rows, 1, v + h * hd, d, heads + h * hd, d);
+  }
+  std::fill_n(out, nd, 0.0);
+  Gemm(rows, d, d, heads, d, 1, wo_->value.data(), d, out, d);
 }
 
 }  // namespace nn

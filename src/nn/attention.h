@@ -16,6 +16,10 @@ class MultiHeadAttention : public Module {
   /// MHAttn(Q=query, K=keys, V=keys): query (n x d), keys (m x d) -> n x d.
   Tensor Forward(Tensor query, Tensor keys);
 
+  /// Tape-free self-attention Forward(x, x) over const weights,
+  /// bit-identical to it: x and out are rows x model_dim, contiguous.
+  void InferSelf(const double* x, int rows, double* out) const;
+
   int model_dim() const { return model_dim_; }
   int num_heads() const { return num_heads_; }
 

@@ -7,6 +7,12 @@
 namespace trmma {
 namespace nn {
 
+/// Tape-free x·W + b over `rows` rows of x (row stride ldx) into out (row
+/// stride ldo): the arithmetic of ops::Affine, a zeroed product through the
+/// kernel and then the bias.
+void AffineInfer(const double* x, int rows, int ldx, const Matrix& w,
+                 const Matrix& b, double* out, int ldo);
+
 /// Fully-connected layer y = xW + b.
 class Linear : public Module {
  public:
@@ -14,8 +20,15 @@ class Linear : public Module {
 
   Tensor Forward(Tensor x);
 
+  /// Tape-free Forward over const weights, bit-identical to it: writes
+  /// x·W + b for `rows` rows of x (row stride ldx) into out (row stride
+  /// ldo).
+  void Infer(const double* x, int rows, int ldx, double* out, int ldo) const;
+
   Param& weight() { return *w_; }
   Param& bias() { return *b_; }
+  const Param& weight() const { return *w_; }
+  const Param& bias() const { return *b_; }
 
  private:
   Param* w_;
@@ -29,6 +42,13 @@ class Mlp : public Module {
 
   Tensor Forward(Tensor x);
 
+  /// Tape-free Forward over const weights, bit-identical to it (row strides
+  /// as in Linear::Infer).
+  void Infer(const double* x, int rows, int ldx, double* out, int ldo) const;
+
+  const Linear& fc1() const { return fc1_; }
+  const Linear& fc2() const { return fc2_; }
+
  private:
   Linear fc1_;
   Linear fc2_;
@@ -40,6 +60,10 @@ class LayerNorm : public Module {
   explicit LayerNorm(int dim);
 
   Tensor Forward(Tensor x);
+
+  /// Tape-free Forward, bit-identical to it, in place on `rows` contiguous
+  /// rows.
+  void Infer(double* x, int rows) const;
 
  private:
   Param* gamma_;
@@ -59,6 +83,7 @@ class Embedding : public Module {
   Tensor Forward(Tape& tape, const std::vector<int>& ids);
 
   Param& table() { return *table_; }
+  const Param& table() const { return *table_; }
 
  private:
   Param* table_;

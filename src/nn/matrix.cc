@@ -2,8 +2,10 @@
 
 #include <atomic>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
+#include "nn/kernel.h"
 
 namespace trmma {
 namespace nn {
@@ -124,58 +126,42 @@ void AddMatMul(const Matrix& a, const Matrix& b, Matrix* out) {
   TRMMA_CHECK_EQ(a.cols(), b.rows());
   TRMMA_CHECK_EQ(out->rows(), a.rows());
   TRMMA_CHECK_EQ(out->cols(), b.cols());
-  const int m = a.rows();
-  const int k = a.cols();
-  const int n = b.cols();
-  // i-k-j loop order: streams through b and out rows contiguously.
-  for (int i = 0; i < m; ++i) {
-    const double* arow = a.row(i);
-    double* orow = out->row(i);
-    for (int p = 0; p < k; ++p) {
-      const double av = arow[p];
-      if (av == 0.0) continue;
-      const double* brow = b.row(p);
-      for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  Gemm(a.rows(), b.cols(), a.cols(), a.data(), a.cols(), 1, b.data(),
+       b.cols(), out->data(), out->cols());
 }
 
 void AddMatMulTransA(const Matrix& a, const Matrix& b, Matrix* out) {
   TRMMA_CHECK_EQ(a.rows(), b.rows());
   TRMMA_CHECK_EQ(out->rows(), a.cols());
   TRMMA_CHECK_EQ(out->cols(), b.cols());
-  const int m = a.cols();
-  const int k = a.rows();
-  const int n = b.cols();
-  for (int p = 0; p < k; ++p) {
-    const double* arow = a.row(p);
-    const double* brow = b.row(p);
-    for (int i = 0; i < m; ++i) {
-      const double av = arow[i];
-      if (av == 0.0) continue;
-      double* orow = out->row(i);
-      for (int j = 0; j < n; ++j) orow[j] += av * brow[j];
-    }
-  }
+  // A^T(i,p) = a(p,i): a transposed view, no copy. Each output still sums
+  // p in increasing order with zero terms skipped, as the p-i-j loop did.
+  Gemm(a.cols(), b.cols(), a.rows(), a.data(), 1, a.cols(), b.data(),
+       b.cols(), out->data(), out->cols());
 }
 
 void AddMatMulTransB(const Matrix& a, const Matrix& b, Matrix* out) {
   TRMMA_CHECK_EQ(a.cols(), b.cols());
   TRMMA_CHECK_EQ(out->rows(), a.rows());
   TRMMA_CHECK_EQ(out->cols(), b.rows());
+  // out(i,j) += dot(a(i,:), b(j,:)), each dot summed from +0 over every
+  // term (no zero skip) and then added once: run the kernel into a zeroed
+  // block against a packed B^T, then add the block.
   const int m = a.rows();
   const int k = a.cols();
   const int n = b.rows();
-  for (int i = 0; i < m; ++i) {
-    const double* arow = a.row(i);
-    double* orow = out->row(i);
-    for (int j = 0; j < n; ++j) {
-      const double* brow = b.row(j);
-      double acc = 0.0;
-      for (int p = 0; p < k; ++p) acc += arow[p] * brow[p];
-      orow[j] += acc;
-    }
+  thread_local std::vector<double> bt;
+  thread_local std::vector<double> dots;
+  bt.resize(static_cast<size_t>(k) * n);
+  for (int j = 0; j < n; ++j) {
+    const double* brow = b.row(j);
+    for (int p = 0; p < k; ++p) bt[static_cast<size_t>(p) * n + j] = brow[p];
   }
+  dots.assign(static_cast<size_t>(m) * n, 0.0);
+  Gemm(m, n, k, a.data(), k, 1, bt.data(), n, dots.data(), n,
+       /*skip_zero_a=*/false);
+  double* o = out->data();
+  for (size_t i = 0; i < dots.size(); ++i) o[i] += dots[i];
 }
 
 }  // namespace nn

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/logging.h"
+#include "nn/kernel.h"
 #include "nn/profiler.h"
 
 namespace trmma {
@@ -196,9 +197,7 @@ Tensor Relu(Tensor a) {
   prof.AddFlops(a.value().size());
   Tape& tape = *a.tape();
   Matrix out = a.value();
-  for (int i = 0; i < out.size(); ++i) {
-    if (out.data()[i] < 0.0) out.data()[i] = 0.0;
-  }
+  ReluInPlace(out.data(), out.size());
   const int ia = a.id();
   return tape.NewNode(std::move(out), [ia](Tape& t, int self) {
     const Matrix& g = t.grad(self);
@@ -251,17 +250,7 @@ Tensor SoftmaxRows(Tensor a) {
   prof.AddFlops(5.0 * a.value().size());
   Tape& tape = *a.tape();
   Matrix out = a.value();
-  for (int r = 0; r < out.rows(); ++r) {
-    double* row = out.row(r);
-    double mx = row[0];
-    for (int c = 1; c < out.cols(); ++c) mx = std::max(mx, row[c]);
-    double sum = 0.0;
-    for (int c = 0; c < out.cols(); ++c) {
-      row[c] = std::exp(row[c] - mx);
-      sum += row[c];
-    }
-    for (int c = 0; c < out.cols(); ++c) row[c] /= sum;
-  }
+  for (int r = 0; r < out.rows(); ++r) SoftmaxRow(out.row(r), out.cols());
   const int ia = a.id();
   return tape.NewNode(std::move(out), [ia](Tape& t, int self) {
     const Matrix& g = t.grad(self);
@@ -290,22 +279,9 @@ Tensor LayerNormRows(Tensor x, Param& gamma, Param& beta, double eps) {
   auto xhat = std::make_shared<Matrix>(in.rows(), d);
   auto inv_sigma = std::make_shared<std::vector<double>>(in.rows());
   for (int r = 0; r < in.rows(); ++r) {
-    double mean = 0.0;
-    for (int c = 0; c < d; ++c) mean += in.at(r, c);
-    mean /= d;
-    double var = 0.0;
-    for (int c = 0; c < d; ++c) {
-      const double diff = in.at(r, c) - mean;
-      var += diff * diff;
-    }
-    var /= d;
-    const double inv = 1.0 / std::sqrt(var + eps);
-    (*inv_sigma)[r] = inv;
-    for (int c = 0; c < d; ++c) {
-      const double xh = (in.at(r, c) - mean) * inv;
-      xhat->at(r, c) = xh;
-      out.at(r, c) = xh * gamma.value.at(0, c) + beta.value.at(0, c);
-    }
+    (*inv_sigma)[r] =
+        LayerNormRow(in.row(r), d, gamma.value.data(), beta.value.data(), eps,
+                     out.row(r), xhat->row(r));
   }
   const int ix = x.id();
   Param* pg = &gamma;

@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "nn/scratch.h"
+
 namespace trmma {
 namespace nn {
 
@@ -22,6 +24,19 @@ Tensor TransformerLayer::Forward(Tensor x) {
   return norm2_.Forward(ops::Add(attended, ffn_.Forward(attended)));
 }
 
+void TransformerLayer::Infer(double* x, int rows) const {
+  const int d = attention_.model_dim();
+  const int n = rows * d;
+  ScratchFrame frame;
+  double* branch = Scratch::Raw(n);
+  attention_.InferSelf(x, rows, branch);
+  for (int i = 0; i < n; ++i) x[i] += branch[i];
+  norm1_.Infer(x, rows);
+  ffn_.Infer(x, rows, d, branch, d);
+  for (int i = 0; i < n; ++i) x[i] += branch[i];
+  norm2_.Infer(x, rows);
+}
+
 TransformerEncoder::TransformerEncoder(int model_dim, int num_heads,
                                        int ffn_dim, int num_layers, Rng& rng)
     : model_dim_(model_dim) {
@@ -40,14 +55,29 @@ Tensor TransformerEncoder::Forward(Tensor x) {
   return h;
 }
 
+void TransformerEncoder::Infer(double* x, int rows) const {
+  ScratchFrame frame;
+  double* pe = Scratch::Raw(model_dim_);
+  for (int pos = 0; pos < rows; ++pos) {
+    PositionalEncodingRow(pos, model_dim_, pe);
+    double* row = x + pos * model_dim_;
+    for (int c = 0; c < model_dim_; ++c) row[c] += pe[c];
+  }
+  for (const auto& layer : layers_) layer->Infer(x, rows);
+}
+
+void PositionalEncodingRow(int pos, int dim, double* out) {
+  for (int i = 0; i < dim; i += 2) {
+    const double freq = std::pow(10000.0, -static_cast<double>(i) / dim);
+    out[i] = std::sin(pos * freq);
+    if (i + 1 < dim) out[i + 1] = std::cos(pos * freq);
+  }
+}
+
 Matrix SinusoidalPositionalEncoding(int len, int dim) {
   Matrix pe(len, dim);
   for (int pos = 0; pos < len; ++pos) {
-    for (int i = 0; i < dim; i += 2) {
-      const double freq = std::pow(10000.0, -static_cast<double>(i) / dim);
-      pe.at(pos, i) = std::sin(pos * freq);
-      if (i + 1 < dim) pe.at(pos, i + 1) = std::cos(pos * freq);
-    }
+    PositionalEncodingRow(pos, dim, pe.row(pos));
   }
   return pe;
 }

@@ -19,6 +19,10 @@ class TransformerLayer : public Module {
 
   Tensor Forward(Tensor x);
 
+  /// Tape-free Forward, bit-identical to it, in place on `rows` contiguous
+  /// rows of model_dim values.
+  void Infer(double* x, int rows) const;
+
  private:
   MultiHeadAttention attention_;
   Mlp ffn_;
@@ -36,6 +40,10 @@ class TransformerEncoder : public Module {
   /// Encodes a sequence (len x d) -> (len x d).
   Tensor Forward(Tensor x);
 
+  /// Tape-free Forward over const weights, bit-identical to it, in place on
+  /// `rows` contiguous rows of model_dim values.
+  void Infer(double* x, int rows) const;
+
  private:
   int model_dim_;
   std::vector<std::unique_ptr<TransformerLayer>> layers_;
@@ -43,6 +51,9 @@ class TransformerEncoder : public Module {
 
 /// Sinusoidal positional encoding matrix (len x dim).
 Matrix SinusoidalPositionalEncoding(int len, int dim);
+
+/// Row `pos` of it (`dim` values).
+void PositionalEncodingRow(int pos, int dim, double* out);
 
 }  // namespace nn
 }  // namespace trmma

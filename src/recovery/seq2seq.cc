@@ -43,35 +43,6 @@ Seq2SeqRecovery::Seq2SeqRecovery(const RoadNetwork& network,
   optimizer_ = std::make_unique<nn::Adam>(Parameters(), config.lr);
 }
 
-namespace {
-
-nn::Matrix RawFeatures(const RoadNetwork& network, const Trajectory& traj) {
-  double min_lat = 1e30;
-  double max_lat = -1e30;
-  double min_lng = 1e30;
-  double max_lng = -1e30;
-  for (NodeId i = 0; i < network.num_nodes(); ++i) {
-    const LatLng& p = network.node(i).pos;
-    min_lat = std::min(min_lat, p.lat);
-    max_lat = std::max(max_lat, p.lat);
-    min_lng = std::min(min_lng, p.lng);
-    max_lng = std::max(max_lng, p.lng);
-  }
-  const double lat_span = std::max(max_lat - min_lat, 1e-9);
-  const double lng_span = std::max(max_lng - min_lng, 1e-9);
-  const double t0 = traj.points.front().t;
-  const double t_span = std::max(traj.points.back().t - t0, 1e-9);
-  nn::Matrix z(traj.size(), 3);
-  for (int i = 0; i < traj.size(); ++i) {
-    z.at(i, 0) = (traj.points[i].pos.lat - min_lat) / lat_span;
-    z.at(i, 1) = (traj.points[i].pos.lng - min_lng) / lng_span;
-    z.at(i, 2) = (traj.points[i].t - t0) / t_span;
-  }
-  return z;
-}
-
-}  // namespace
-
 Tensor Seq2SeqRecovery::Encode(nn::Tape& tape, const Trajectory& sparse) {
   // Grid-cell embeddings of the GPS points (the family's discretization)
   // plus continuous features.
@@ -79,9 +50,11 @@ Tensor Seq2SeqRecovery::Encode(nn::Tape& tape, const Trajectory& sparse) {
   for (int i = 0; i < sparse.size(); ++i) {
     cells[i] = grid_.CellOf(sparse.points[i].pos);
   }
+  nn::Matrix features(sparse.size(), 3);
+  NormalizedPointFeatures(network_, sparse, features.data(), 3);
   Tensor x = ops::Add(
       cell_emb_.Forward(tape, cells),
-      input_fc_.Forward(ops::Input(tape, RawFeatures(network_, sparse))));
+      input_fc_.Forward(ops::Input(tape, std::move(features))));
   if (config_.transformer_encoder) {
     return ops::MeanRows(encoder_trans_->Forward(x));
   }

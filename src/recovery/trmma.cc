@@ -6,6 +6,7 @@
 #include "common/deadline.h"
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "nn/kernel.h"
 #include "nn/ops.h"
 #include "nn/serialize.h"
 #include "nn/telemetry.h"
@@ -50,29 +51,9 @@ namespace {
 /// Min-max normalized [lat, lng, t, ratio] block of T0 (Eq. 11).
 nn::Matrix AnchorFeatures(const RoadNetwork& network, const Trajectory& sparse,
                           const std::vector<MatchedPoint>& anchors) {
-  double min_lat = 1e30;
-  double max_lat = -1e30;
-  double min_lng = 1e30;
-  double max_lng = -1e30;
-  for (NodeId i = 0; i < network.num_nodes(); ++i) {
-    const LatLng& p = network.node(i).pos;
-    min_lat = std::min(min_lat, p.lat);
-    max_lat = std::max(max_lat, p.lat);
-    min_lng = std::min(min_lng, p.lng);
-    max_lng = std::max(max_lng, p.lng);
-  }
-  const double lat_span = std::max(max_lat - min_lat, 1e-9);
-  const double lng_span = std::max(max_lng - min_lng, 1e-9);
-  const double t0 = sparse.points.front().t;
-  const double t_span = std::max(sparse.points.back().t - t0, 1e-9);
-
   nn::Matrix z(sparse.size(), 4);
-  for (int i = 0; i < sparse.size(); ++i) {
-    z.at(i, 0) = (sparse.points[i].pos.lat - min_lat) / lat_span;
-    z.at(i, 1) = (sparse.points[i].pos.lng - min_lng) / lng_span;
-    z.at(i, 2) = (sparse.points[i].t - t0) / t_span;
-    z.at(i, 3) = anchors[i].ratio;
-  }
+  NormalizedPointFeatures(network, sparse, z.data(), 4);
+  for (int i = 0; i < sparse.size(); ++i) z.at(i, 3) = anchors[i].ratio;
   return z;
 }
 
@@ -108,19 +89,6 @@ std::vector<double> NormalizedPrefix(const std::vector<double>& prefix) {
   const double total = std::max(prefix.back(), 1e-9);
   for (size_t k = 0; k < prefix.size(); ++k) out[k] = prefix[k] / total;
   return out;
-}
-
-/// Midpoint expected-time fraction of every route segment.
-std::vector<double> RouteMidFractions(const RoadNetwork& network,
-                                      const Route& route,
-                                      const std::vector<double>& prefix) {
-  std::vector<double> mid(route.size());
-  const double total = std::max(prefix.back(), 1e-9);
-  for (size_t k = 0; k < route.size(); ++k) {
-    const RoadSegment& seg = network.segment(route[k]);
-    mid[k] = (prefix[k] + 0.5 * seg.length_m / seg.speed_mps) / total;
-  }
-  return mid;
 }
 
 /// Analytic position-ratio prior for segment `k` at time fraction `tau`:
@@ -753,20 +721,6 @@ double SigmoidScalar(double x) {
   return e / (1.0 + e);
 }
 
-/// y = x * W + b for row vectors, written into out (resized).
-void AffineRow(const std::vector<double>& x, const nn::Matrix& w,
-               const nn::Matrix& b, std::vector<double>* out) {
-  const int n = w.cols();
-  out->assign(n, 0.0);
-  for (int i = 0; i < w.rows(); ++i) {
-    const double xi = x[i];
-    if (xi == 0.0) continue;
-    const double* wr = w.row(i);
-    for (int j = 0; j < n; ++j) (*out)[j] += xi * wr[j];
-  }
-  for (int j = 0; j < n; ++j) (*out)[j] += b.at(0, j);
-}
-
 }  // namespace
 
 MatchedTrajectory TrmmaRecovery::Recover(const Trajectory& sparse,
@@ -831,14 +785,8 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   const MlpView rat = ViewMlp(ratio_mlp_);
   const nn::Matrix& gamma = seg_table_.table().value;
   nn::Matrix cls_h_part(route_len, dh);
-  for (int k = 0; k < route_len; ++k) {
-    for (int d = 0; d < dh; ++d) {
-      const double v = enc.at(k, d);
-      if (v == 0.0) continue;
-      const double* wr = cls.w1->row(d);
-      for (int j = 0; j < dh; ++j) cls_h_part.at(k, j) += v * wr[j];
-    }
-  }
+  nn::Gemm(route_len, dh, dh, enc.data(), dh, 1, cls.w1->data(), dh,
+           cls_h_part.data(), dh);
 
   // GRU weight views (GruCell parameter order: wz,uz,bz,wr,ur,br,wh,uh,bh).
   auto gru_params = gru_.Parameters();
@@ -864,9 +812,9 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   // One tape-free decode step: advances h in place, fills w (logits with
   // prior) for all route segments.
   std::vector<double> x(dh + 4);
-  std::vector<double> gz;
-  std::vector<double> gr;
-  std::vector<double> gh;
+  std::vector<double> gz(dh);
+  std::vector<double> gr(dh);
+  std::vector<double> gh(dh);
   std::vector<double> tmp;
   std::vector<double> w(route_len);
   std::vector<double> u_part;
@@ -878,32 +826,19 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
     x[dh + 1] = tau;
     x[dh + 2] = prev_frac;
     x[dh + 3] = expected_frac;
-    AffineRow(x, wz, bz, &gz);
-    AffineRow(x, wr, br, &gr);
-    AffineRow(x, wh, bh, &gh);
-    // + h * U terms.
+    nn::AffineInfer(x.data(), 1, dh + 4, wz, bz, gz.data(), dh);
+    nn::AffineInfer(x.data(), 1, dh + 4, wr, br, gr.data(), dh);
+    nn::AffineInfer(x.data(), 1, dh + 4, wh, bh, gh.data(), dh);
+    // + h * U terms, continuing each gate's sum.
+    nn::Gemm(1, dh, dh, h.data(), dh, 1, uz.data(), dh, gz.data(), dh);
+    nn::Gemm(1, dh, dh, h.data(), dh, 1, ur.data(), dh, gr.data(), dh);
     tmp.assign(dh, 0.0);
-    for (int i = 0; i < dh; ++i) {
-      const double hi = h[i];
-      if (hi == 0.0) continue;
-      const double* uzr = uz.row(i);
-      const double* urr = ur.row(i);
-      for (int j = 0; j < dh; ++j) {
-        gz[j] += hi * uzr[j];
-        gr[j] += hi * urr[j];
-      }
-    }
     for (int j = 0; j < dh; ++j) {
       gz[j] = SigmoidScalar(gz[j]);
       gr[j] = SigmoidScalar(gr[j]);
       tmp[j] = gr[j] * h[j];  // r * h
     }
-    for (int i = 0; i < dh; ++i) {
-      const double ri = tmp[i];
-      if (ri == 0.0) continue;
-      const double* uhr = uh.row(i);
-      for (int j = 0; j < dh; ++j) gh[j] += ri * uhr[j];
-    }
+    nn::Gemm(1, dh, dh, tmp.data(), dh, 1, uh.data(), dh, gh.data(), dh);
     for (int j = 0; j < dh; ++j) {
       const double cand = std::tanh(gh[j]);
       h[j] = (1.0 - gz[j]) * h[j] + gz[j] * cand;
@@ -912,12 +847,8 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   auto classify = [&](double tau, double prev_frac, double expected_frac) {
     // u = h * W8[dh:2dh] + b8 (the h-dependent classifier part).
     u_part.assign(dh, 0.0);
-    for (int i = 0; i < dh; ++i) {
-      const double hi = h[i];
-      if (hi == 0.0) continue;
-      const double* wr1 = cls.w1->row(dh + i);
-      for (int j = 0; j < dh; ++j) u_part[j] += hi * wr1[j];
-    }
+    nn::Gemm(1, dh, dh, h.data(), dh, 1, cls.w1->row(dh), dh, u_part.data(),
+             dh);
     for (int j = 0; j < dh; ++j) u_part[j] += cls.b1->at(0, j);
     const double* a0w = cls.w1->row(2 * dh);
     const double* a1w = cls.w1->row(2 * dh + 1);
@@ -953,13 +884,11 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
     }
     std::vector<double> in(2 * dh + 1, 0.0);
     for (int j = 0; j < dh; ++j) in[j] = h[j];
-    for (int k = 0; k < route_len; ++k) {
-      const double psi = tmp[k] / sum;
-      if (psi == 0.0) continue;
-      for (int j = 0; j < dh; ++j) in[dh + j] += psi * enc.at(k, j);
-    }
+    for (int k = 0; k < route_len; ++k) tmp[k] /= sum;  // psi
+    nn::Gemm(1, dh, route_len, tmp.data(), route_len, 1, enc.data(), dh,
+             in.data() + dh, dh);
     in[2 * dh] = expected_ratio;
-    AffineRow(in, *rat.w1, *rat.b1, &gh);
+    nn::AffineInfer(in.data(), 1, 2 * dh + 1, *rat.w1, *rat.b1, gh.data(), dh);
     double acc = rat.b2->at(0, 0);
     for (int j = 0; j < static_cast<int>(gh.size()); ++j) {
       if (gh[j] > 0.0) acc += gh[j] * rat.w2->at(j, 0);

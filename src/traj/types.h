@@ -44,6 +44,14 @@ struct TrajectorySample {
   std::vector<int> sparse_indices;  ///< indices of sparse points in raw/truth
 };
 
+/// Min-max normalized [lat, lng, t] of every point of a non-empty
+/// trajectory (paper §IV-B), the point features of MMA, TRMMA and the
+/// learned baselines: lat/lng over the network's bounding box, t over the
+/// trajectory's own time span. Point i's three values go to
+/// out[i*ld .. i*ld+3).
+void NormalizedPointFeatures(const RoadNetwork& network, const Trajectory& traj,
+                             double* out, int ld);
+
 /// GPS coordinate of a matched point via interpolation on its segment.
 GpsPoint GpsFromMatched(const RoadNetwork& network, const MatchedPoint& a);
 

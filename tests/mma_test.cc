@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <thread>
 
 #include "mm/deep_mm_lite.h"
 #include "mm/mma.h"
@@ -175,6 +178,118 @@ TEST_F(MmaFixture, CheckpointConfigMismatchFails) {
   MmaMatcher b(*dataset_->network, *index_, bigger);
   EXPECT_FALSE(b.Load(path).ok());
   std::remove(path.c_str());
+}
+
+/// Bitwise equality of two double vectors (-0 vs +0 counts).
+::testing::AssertionResult SameBits(const std::vector<double>& a,
+                                    const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The tape-free pass must reproduce the training forward bit for bit: the
+// same segments, scores and logits on every test trajectory, for the
+// default config and both ablations.
+TEST_F(MmaFixture, TapeFreePassMatchesTapeBitForBit) {
+  MmaConfig no_ctx;
+  no_ctx.use_candidate_context = false;  // TRMMA-C
+  MmaConfig no_dir;
+  no_dir.use_directional = false;  // TRMMA-DI
+  int64_t points = 0;
+  for (const MmaConfig& config : {MmaConfig{}, no_ctx, no_dir}) {
+    MmaMatcher mma(*dataset_->network, *index_, config);
+    Rng rng(12);
+    mma.TrainEpoch(*dataset_, rng);
+    for (int idx : dataset_->test_idx) {
+      const auto& sample = dataset_->samples[idx];
+      for (const Trajectory* traj : {&sample.sparse, &sample.raw}) {
+        std::vector<double> fast_scores;
+        std::vector<double> tape_scores;
+        const auto fast = mma.MatchPointsWithScores(*traj, &fast_scores);
+        const auto tape = mma.MatchPointsReference(*traj, &tape_scores);
+        ASSERT_EQ(fast, tape) << "sample " << idx;
+        ASSERT_TRUE(SameBits(fast_scores, tape_scores)) << "sample " << idx;
+        auto cands = ComputeCandidates(*dataset_->network, *index_, *traj,
+                                       config.kc);
+        ASSERT_TRUE(SameBits(mma.CandidateLogits(*traj, cands, false),
+                             mma.CandidateLogits(*traj, cands, true)))
+            << "sample " << idx;
+        points += traj->size();
+      }
+    }
+  }
+  EXPECT_GT(points, 1000);
+}
+
+TEST_F(MmaFixture, TapeFreePassMatchesTapeOnBorrowedAndShortColumns) {
+  MmaMatcher mma(*dataset_->network, *index_, MmaConfig{});
+  Rng rng(13);
+  mma.TrainEpoch(*dataset_, rng);
+  const Trajectory& traj = dataset_->samples[dataset_->test_idx[0]].sparse;
+  ASSERT_GE(traj.size(), 4);
+  auto cands =
+      ComputeCandidates(*dataset_->network, *index_, traj, MmaConfig{}.kc);
+  cands[0].clear();      // borrows the first non-empty column
+  cands[2].clear();      // borrows its left neighbor
+  cands[1].resize(1);    // fewer than k_c candidates
+  cands[3].resize(3);
+  const std::vector<double> fast = mma.CandidateLogits(traj, cands, false);
+  const std::vector<double> tape = mma.CandidateLogits(traj, cands, true);
+  // Columns 0 and 2 borrow column 1 (one candidate each).
+  size_t rows = 3 + 3;
+  for (int i = 4; i < traj.size(); ++i) rows += cands[i].size();
+  EXPECT_EQ(fast.size(), rows);
+  EXPECT_TRUE(SameBits(fast, tape));
+}
+
+// MatchPoints keeps no per-call state in the matcher, so threads may share
+// one: each must get the answers of a sequential run.
+TEST(MmaConcurrencyTest, TwoThreadsShareOneMatcher) {
+  Dataset dataset = test::MakeTinyDataset("XA", 60);
+  SegmentRTree index(*dataset.network);
+  MmaMatcher mma(*dataset.network, index, MmaConfig{});
+  Rng rng(14);
+  mma.TrainEpoch(dataset, rng);
+  std::vector<const Trajectory*> inputs;
+  for (const auto& sample : dataset.samples) {
+    inputs.push_back(&sample.sparse);
+    inputs.push_back(&sample.raw);
+  }
+  std::vector<std::vector<SegmentId>> expected;
+  std::vector<std::vector<double>> expected_scores(inputs.size());
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    expected.push_back(mma.MatchPointsWithScores(*inputs[i],
+                                                 &expected_scores[i]));
+  }
+  std::vector<int> mismatches(2, 0);
+  auto worker = [&](int id) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t k = 0; k < inputs.size(); ++k) {
+        // The two threads walk the inputs in opposite orders.
+        const size_t i = id == 0 ? k : inputs.size() - 1 - k;
+        std::vector<double> scores;
+        const auto got = mma.MatchPointsWithScores(*inputs[i], &scores);
+        if (got != expected[i] || !SameBits(scores, expected_scores[i])) {
+          ++mismatches[id];
+        }
+      }
+    }
+  };
+  std::thread a(worker, 0);
+  std::thread b(worker, 1);
+  a.join();
+  b.join();
+  EXPECT_EQ(mismatches[0], 0);
+  EXPECT_EQ(mismatches[1], 0);
 }
 
 TEST_F(MmaFixture, DeepMmLiteTrainsAndMatches) {
