@@ -12,7 +12,6 @@
 #include "nn/profiler.h"
 #include "obs/cpu_profiler.h"
 #include "obs/flight_recorder.h"
-#include "obs/hw_counters.h"
 #include "obs/mem_stats.h"
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
@@ -179,10 +178,6 @@ class BenchRun {
     obs::SloWatchdog::Global().InstallFromEnv();
     obs::TelemetryServer::Global().StartFromEnv();
     obs::CpuProfiler::Global().StartFromEnv();
-    // After the CPU profiler so that when both TRMMA_CPU_PROFILE and
-    // TRMMA_HW_COUNTERS are set, the counters lose the interlock and log
-    // why (arbitrary but deterministic: the profiler was asked first).
-    obs::HwCounters::Global().EnableFromEnv();
     // Postmortem surface: a crash (or external kill -SEGV) during any bench
     // leaves a schema-valid report when TRMMA_POSTMORTEM_DIR is set, and
     // TRMMA_WATCHDOG_MS arms the stuck-request scanner. The install path

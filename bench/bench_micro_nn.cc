@@ -7,7 +7,6 @@
 
 #include "common/random.h"
 #include "nn/gru.h"
-#include "obs/hw_counters.h"
 #include "nn/ops.h"
 #include "nn/transformer.h"
 
@@ -24,18 +23,33 @@ Matrix RandomMatrix(int r, int c, uint64_t seed) {
   return m;
 }
 
+/// out += A·B at the (m, k, n) products the models run, the same shapes
+/// perfbench reports as nn.matmul_gflops.<m>x<k>x<n>: the MMA candidate MLP
+/// over k_c = 10 candidates (39 → 64, 64 → 32), its attention MLP
+/// (64 → 64), the point transformer's feed-forward layer on a 32-point
+/// trace, and a TRMMA DualFormer projection over 32 rows.
 void BM_MatMul(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Matrix a = RandomMatrix(n, n, 1);
-  Matrix b = RandomMatrix(n, n, 2);
-  Matrix out;
+  const int m = static_cast<int>(state.range(0));
+  const int k = static_cast<int>(state.range(1));
+  const int n = static_cast<int>(state.range(2));
+  Matrix a = RandomMatrix(m, k, 1);
+  Matrix b = RandomMatrix(k, n, 2);
+  Matrix out(m, n);
   for (auto _ : state) {
-    MatMul(a, b, &out);
+    AddMatMul(a, b, &out);
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations() * int64_t{n} * n * n);
+  state.counters["FLOP/s"] = benchmark::Counter(
+      2.0 * m * k * n, benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
+BENCHMARK(BM_MatMul)
+    ->ArgNames({"m", "k", "n"})
+    ->Args({10, 39, 64})
+    ->Args({10, 64, 32})
+    ->Args({10, 64, 64})
+    ->Args({32, 32, 64})
+    ->Args({32, 32, 32});
 
 void BM_TransformerForward(benchmark::State& state) {
   Rng rng(3);
@@ -120,46 +134,6 @@ void RunOpProfilerCoverage() {
   OpProfiler::SetEnabled(was_enabled);
 }
 
-/// Hardware-annotated matmul sweep, also run after the google-benchmark
-/// loops: enables the counter subsystem (unless the host or TRMMA_HW_COUNTERS
-/// refuses), calibrates the machine roofline, then measures scaled counter
-/// deltas around MatMul at sizes 64–1024. Each point records the analytic
-/// FLOP (2n^3 per multiply) and traffic (3n^2 doubles) estimates next to
-/// measured cycles, giving the pinned scalar roofline baseline the SIMD
-/// work will be judged against. On perf-restricted hosts the report keeps a
-/// validating {"available": false, "reason": ...} section instead.
-void RunHwCounterMatmulSweep() {
-  obs::ScopedPhase phase("hw_matmul_sweep");
-  obs::HwCounters& hw = obs::HwCounters::Global();
-  if (!hw.Enable().ok()) {
-    std::printf("hw counter sweep skipped: %s\n", hw.reason().c_str());
-    return;
-  }
-  const obs::HwCalibration calib = hw.Calibrate();
-  if (calib.measured) {
-    std::printf("hw calibration: %.2f flop/cycle, %.2f bytes/cycle peak\n",
-                calib.flop_per_cycle, calib.bytes_per_cycle);
-  }
-  for (const int n : {64, 128, 256, 512, 1024}) {
-    Matrix a = RandomMatrix(n, n, 11);
-    Matrix b = RandomMatrix(n, n, 12);
-    Matrix out;
-    MatMul(a, b, &out);  // warm: page in the matrices outside the scope
-    // Iterate small sizes enough to swamp the two group reads (~1 µs).
-    const int iters = n >= 512 ? 1 : (n >= 256 ? 4 : 16);
-    obs::HwCounterScope scope(true);
-    for (int i = 0; i < iters; ++i) MatMul(a, b, &out);
-    obs::HwCounterDelta delta;
-    if (!scope.End(&delta)) continue;
-    const double flops = 2.0 * n * n * n * iters;
-    const double bytes = 3.0 * n * n * sizeof(double) * iters;
-    hw.RecordSweepPoint("matmul", n, delta, flops, bytes);
-    std::printf("matmul n=%4d: %.3g cycles, ipc %.2f, %.3f flop/cycle\n", n,
-                delta.cycles(), delta.ipc(),
-                delta.cycles() > 0.0 ? flops / delta.cycles() : 0.0);
-  }
-}
-
 }  // namespace
 }  // namespace nn
 }  // namespace trmma
@@ -171,6 +145,5 @@ int main(int argc, char** argv) {
   ::benchmark::RunSpecifiedBenchmarks();
   ::benchmark::Shutdown();
   trmma::nn::RunOpProfilerCoverage();
-  trmma::nn::RunHwCounterMatmulSweep();
   return 0;
 }

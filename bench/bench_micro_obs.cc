@@ -11,7 +11,6 @@
 #include "bench_common.h"
 #include "obs/cpu_profiler.h"
 #include "obs/flight_recorder.h"
-#include "obs/hw_counters.h"
 #include "obs/mem_stats.h"
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
@@ -399,48 +398,6 @@ void BM_ProfilerSampleNow(benchmark::State& state) {
   profiler.Reset();
 }
 BENCHMARK(BM_ProfilerSampleNow);
-
-// The acceptance contract for leaving HwCounterScope in the op profiler and
-// the serving execute path: with the subsystem disarmed (the default — this
-// container may not even expose a PMU), the Enabled() gate is one relaxed
-// load plus a predicted branch, ≤ 2 ns.
-void BM_HwCounterHookDisabled(benchmark::State& state) {
-  HwCounters::Global().Disable();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(HwCounters::Enabled());
-  }
-}
-BENCHMARK(BM_HwCounterHookDisabled);
-
-// Whole-scope cost when disabled: Start + End must each degrade to the gate
-// check, since every profiled op constructs one.
-void BM_HwCounterScopeDisabled(benchmark::State& state) {
-  HwCounters::Global().Disable();
-  HwCounterDelta delta;
-  for (auto _ : state) {
-    HwCounterScope scope(true);
-    benchmark::DoNotOptimize(scope.End(&delta));
-  }
-}
-BENCHMARK(BM_HwCounterScopeDisabled);
-
-// Enabled path: two group read() syscalls per scope. Expected ~1 µs — the
-// reason counters are opt-in per run rather than always-on. Skipped when
-// the host refuses perf_event_open (paranoid kernel, no PMU, sanitizer).
-void BM_HwCounterScopeEnabled(benchmark::State& state) {
-  if (!HwCounters::Global().Enable().ok()) {
-    state.SkipWithError(("hw counters unavailable: " +
-                         HwCounters::Global().reason()).c_str());
-    return;
-  }
-  HwCounterDelta delta;
-  for (auto _ : state) {
-    HwCounterScope scope(true);
-    benchmark::DoNotOptimize(scope.End(&delta));
-  }
-  HwCounters::Global().Disable();
-}
-BENCHMARK(BM_HwCounterScopeEnabled);
 
 void BM_RegistryLookup(benchmark::State& state) {
   ModeGuard guard(TraceMode::kMetrics);

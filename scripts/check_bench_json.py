@@ -22,11 +22,7 @@ absence an error
 quality check validates group/slice/calibration/drift structure and that
 calibration bin counts sum to the sample count; --require-profile
 additionally demands that the CPU profiler actually sampled — samples > 0
-with a non-empty frame table). The "hw_counters" section is validated
-whenever present: available reports must carry finite non-negative
-roofline numbers, unavailable ones a non-empty reason;
---require-hw-counters makes the section's absence an error while still
-accepting {"available": false} from perf-restricted hosts.
+with a non-empty frame table).
 --trace FILE additionally
 validates a Chrome trace-event JSON file (as written under
 TRMMA_TRACE_FILE); complete spans ("X"), flow arrows ("s"/"f") and
@@ -36,7 +32,6 @@ the complete spans only.
 
 import argparse
 import json
-import math
 import numbers
 import os
 import subprocess
@@ -465,108 +460,6 @@ def check_profile(doc, path, errors, required=False):
                  errors)
 
 
-HW_CALIBRATION_NUM_FIELDS = ("flop_per_cycle", "bytes_per_cycle",
-                             "calibration_cycles")
-HW_OP_NUM_FIELDS = ("calls", "hw_samples", "cycles", "instructions", "ipc",
-                    "flop_per_cycle", "bytes_per_cycle",
-                    "arithmetic_intensity")
-HW_SWEEP_NUM_FIELDS = ("n", "cycles", "instructions", "ipc", "flops", "bytes",
-                       "flop_per_cycle", "bytes_per_cycle",
-                       "arithmetic_intensity", "running_frac")
-
-
-def check_hw_finite(obj, fields, where, path, errors, optional=()):
-    """Every listed field must be a finite, non-negative number.
-
-    NaN/inf would silently poison roofline math downstream (comparisons with
-    NaN are all false), so the gate is isfinite, not merely isinstance.
-    """
-    for field in fields:
-        value = obj.get(field)
-        if value is None and field in optional:
-            continue
-        if not isinstance(value, numbers.Real) or isinstance(value, bool):
-            fail(path, f"{where}: missing numeric '{field}'", errors)
-        elif not math.isfinite(value):
-            fail(path, f"{where}: '{field}' = {value} is not finite", errors)
-        elif value < 0:
-            fail(path, f"{where}: '{field}' = {value} must be >= 0", errors)
-
-
-def check_hw_counters(doc, path, errors, required=False):
-    hw = doc.get("hw_counters")
-    if hw is None:
-        if required:
-            fail(path, "missing 'hw_counters' section (reports always carry "
-                       "one — even {\"available\": false} on restricted "
-                       "hosts)", errors)
-        return
-    if not isinstance(hw, dict):
-        fail(path, "'hw_counters' must be an object", errors)
-        return
-    available = hw.get("available")
-    if not isinstance(available, bool):
-        fail(path, "hw_counters: missing boolean 'available'", errors)
-        return
-    if not available:
-        # Graceful degradation still has a contract: the section must say
-        # WHY counters are off (perf lockdown, sanitizer, env, no PMU).
-        reason = hw.get("reason")
-        if not isinstance(reason, str) or not reason:
-            fail(path, "hw_counters: unavailable without a non-empty "
-                       "'reason'", errors)
-        return
-    if not isinstance(hw.get("counter_set"), str) or not hw.get("counter_set"):
-        fail(path, "hw_counters: missing non-empty 'counter_set'", errors)
-    counters = hw.get("counters")
-    if not isinstance(counters, list) or not counters or \
-            not all(isinstance(c, str) and c for c in counters):
-        fail(path, "hw_counters: 'counters' must be a non-empty list of "
-                   "names when available", errors)
-    cal = hw.get("calibration")
-    if not isinstance(cal, dict):
-        fail(path, "hw_counters: missing object 'calibration'", errors)
-    else:
-        if not isinstance(cal.get("measured"), bool):
-            fail(path, "hw_counters.calibration: missing boolean 'measured'",
-                 errors)
-        if cal.get("measured") is True:
-            check_hw_finite(cal, HW_CALIBRATION_NUM_FIELDS,
-                            "hw_counters.calibration", path, errors)
-            for field in ("flop_per_cycle", "bytes_per_cycle"):
-                v = cal.get(field)
-                if isinstance(v, numbers.Real) and math.isfinite(v) and \
-                        v <= 0:
-                    fail(path, f"hw_counters.calibration: '{field}' = {v} "
-                               "must be > 0 when measured", errors)
-    for section, fields in (("ops", HW_OP_NUM_FIELDS),
-                            ("sweep", HW_SWEEP_NUM_FIELDS)):
-        items = hw.get(section)
-        if not isinstance(items, list):
-            fail(path, f"hw_counters: '{section}' must be a list", errors)
-            continue
-        for i, item in enumerate(items):
-            where = f"hw_counters.{section}[{i}]"
-            if not isinstance(item, dict):
-                fail(path, f"{where}: not an object", errors)
-                continue
-            name_field = "name" if section == "ops" else "label"
-            if not isinstance(item.get(name_field), str) or \
-                    not item.get(name_field):
-                fail(path, f"{where}: missing non-empty '{name_field}'",
-                     errors)
-            check_hw_finite(item, fields, where, path, errors)
-            # Per-kinst miss rates and the stall fraction only appear when
-            # the counter set includes them; when present they must be sane.
-            check_hw_finite(item, ("l1d_miss_per_kinst", "llc_miss_per_kinst",
-                                   "branch_miss_per_kinst", "stalled_frac"),
-                            where, path, errors,
-                            optional=("l1d_miss_per_kinst",
-                                      "llc_miss_per_kinst",
-                                      "branch_miss_per_kinst",
-                                      "stalled_frac"))
-
-
 def check_slo(doc, path, errors):
     slo = doc.get("slo")
     if slo is None:
@@ -670,7 +563,7 @@ def check_report(path, errors, require_activity=True,
                  require_op_profile=False, require_training=False,
                  require_flight_recorder=False, require_quality=False,
                  require_memory=False, require_serving=False,
-                 require_profile=False, require_hw_counters=False):
+                 require_profile=False):
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -727,7 +620,6 @@ def check_report(path, errors, require_activity=True,
     check_memory(doc, path, errors, required=require_memory)
     check_serving(doc, path, errors, required=require_serving)
     check_profile(doc, path, errors, required=require_profile)
-    check_hw_counters(doc, path, errors, required=require_hw_counters)
     check_slo(doc, path, errors)
 
     metrics = doc.get("metrics")
@@ -824,10 +716,6 @@ def main():
     parser.add_argument("--require-profile", action="store_true",
                         help="fail if reports lack a 'profile' section with "
                              "at least one CPU sample")
-    parser.add_argument("--require-hw-counters", action="store_true",
-                        help="fail if reports lack a 'hw_counters' section; "
-                             "a validating {\"available\": false, \"reason\": "
-                             "...} from a perf-restricted host passes")
     args = parser.parse_args()
 
     files = list(args.files)
@@ -853,8 +741,7 @@ def main():
                      require_quality=args.require_quality,
                      require_memory=args.require_memory,
                      require_serving=args.require_serving,
-                     require_profile=args.require_profile,
-                     require_hw_counters=args.require_hw_counters)
+                     require_profile=args.require_profile)
     for path in traces:
         check_chrome_trace(path, errors)
     if errors:

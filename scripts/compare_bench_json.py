@@ -28,17 +28,11 @@ What is compared (stdlib only, runs inside ctest):
               are 0.02 each; override per metric with
               --quality-tolerance NAME=VALUE (repeatable).
 
-  hw          when BOTH reports carry measured hardware-counter points
-              (hw_counters.available with ipc > 0), matched op/sweep points
-              gate on IPC: candidate below baseline * (1 - --ipc-tolerance,
-              default 0.3) fails. Missing sections/points never fail — the
-              candidate may run on a perf-restricted host.
-
 --self-test perturbs a copy of the candidate (bumps the first counter,
-drops a phase, inflates baseline quality so the candidate reads as a
-degraded-accuracy report, and inflates baseline IPC so the hw gate must
-fire) and verifies the comparison fails on it — proving the guard can
-actually detect regressions — then compares the unmodified candidate.
+drops a phase, and inflates baseline quality so the candidate reads as a
+degraded-accuracy report) and verifies the comparison fails on it —
+proving the guard can actually detect regressions — then compares the
+unmodified candidate.
 """
 
 import argparse
@@ -192,62 +186,8 @@ def compare_serving(baseline, candidate, p99_tol, shed_tol):
     return diffs
 
 
-def hw_point_map(doc):
-    """Matchable hardware-counter points with a measured IPC.
-
-    Keys: ("op", name) for profiled ops, ("sweep", label, n) for sweep
-    points. Points from an unavailable section (perf-restricted host) or
-    with ipc == 0 (counter never scheduled) are excluded — the IPC gate
-    only ever compares measurements against measurements.
-    """
-    hw = doc.get("hw_counters")
-    if not isinstance(hw, dict) or hw.get("available") is not True:
-        return {}
-    out = {}
-    for op in hw.get("ops") or []:
-        if isinstance(op, dict) and isinstance(op.get("ipc"), numbers.Real) \
-                and op["ipc"] > 0:
-            out[("op", op.get("name"))] = op
-    for pt in hw.get("sweep") or []:
-        if isinstance(pt, dict) and isinstance(pt.get("ipc"), numbers.Real) \
-                and pt["ipc"] > 0:
-            out[("sweep", pt.get("label"), pt.get("n"))] = pt
-    return out
-
-
-def hw_key_str(key):
-    if key[0] == "op":
-        return f"op '{key[1]}'"
-    return f"sweep '{key[1]}' n={key[2]}"
-
-
-def compare_hw(baseline, candidate, ipc_tol):
-    """IPC-regression gate: per matched point measured on BOTH sides, the
-    candidate's instructions-per-cycle may not fall below
-    baseline * (1 - ipc_tol). IPC is the most machine-portable of the
-    counter ratios (absolute cycle counts shift with clocks and load; the
-    instruction mix does not), so it is the one that gates. A point or the
-    whole section missing from the candidate is NOT a failure — the
-    candidate may run on a perf-restricted host where the baseline did not.
-    """
-    diffs = []
-    base_points = hw_point_map(baseline)
-    cand_points = hw_point_map(candidate)
-    for key, base_pt in base_points.items():
-        cand_pt = cand_points.get(key)
-        if cand_pt is None:
-            continue
-        bv, cv = base_pt["ipc"], cand_pt["ipc"]
-        if cv < bv * (1.0 - ipc_tol):
-            diffs.append(f"hw {hw_key_str(key)} ipc regressed: baseline "
-                         f"{bv:.3f} vs candidate {cv:.3f} "
-                         f"(tolerance {ipc_tol})")
-    return diffs
-
-
 def compare(baseline, candidate, counter_tol, fingerprint_tol, time_tol,
-            quality_tol=None, serving_p99_tol=3.0, serving_shed_tol=0.25,
-            ipc_tol=0.3):
+            quality_tol=None, serving_p99_tol=3.0, serving_shed_tol=0.25):
     """Returns a list of human-readable difference strings (empty = pass)."""
     diffs = []
 
@@ -321,7 +261,6 @@ def compare(baseline, candidate, counter_tol, fingerprint_tol, time_tol,
     diffs.extend(compare_quality(baseline, candidate, tolerances))
     diffs.extend(compare_serving(baseline, candidate, serving_p99_tol,
                                  serving_shed_tol))
-    diffs.extend(compare_hw(baseline, candidate, ipc_tol))
 
     return diffs
 
@@ -357,14 +296,6 @@ def perturb(candidate):
             if isinstance(row, dict):
                 row["p99_us"] = 1e-9
                 row["shed_rate"] = -1.0
-    # And for hardware counters: an impossibly high baseline IPC makes any
-    # real candidate read as an IPC regression, proving that gate can fire.
-    if isinstance(bad.get("hw_counters"), dict):
-        for section in ("ops", "sweep"):
-            for pt in bad["hw_counters"].get(section) or []:
-                if isinstance(pt, dict) and \
-                        isinstance(pt.get("ipc"), numbers.Real):
-                    pt["ipc"] = pt["ipc"] * 100.0 + 100.0
     return bad
 
 
@@ -421,11 +352,6 @@ def main():
     parser.add_argument("--serving-shed-tolerance", type=float, default=0.25,
                         help="serving shed-rate absolute tolerance at a "
                              "matched load point (default 0.25)")
-    parser.add_argument("--ipc-tolerance", type=float, default=0.3,
-                        help="hw-counter IPC gate: flag when a matched "
-                             "op/sweep point's candidate IPC falls below "
-                             "baseline * (1 - tol) (default 0.3); only "
-                             "points measured on both sides compare")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the comparison fails on a perturbed "
                              "candidate before the real comparison")
@@ -460,7 +386,7 @@ def main():
                             args.counter_tolerance,
                             args.fingerprint_tolerance, args.time_tolerance,
                             quality_tol, args.serving_p99_tolerance,
-                            args.serving_shed_tolerance, args.ipc_tolerance)
+                            args.serving_shed_tolerance)
         if quality_group_map(candidate) and not any(
                 d.startswith("quality ") for d in bad_diffs):
             print("FAIL: self-test — quality gate did not flag a "
@@ -470,11 +396,6 @@ def main():
                 d.startswith("serving ") for d in bad_diffs):
             print("FAIL: self-test — serving gate did not flag a "
                   "degraded-latency report")
-            return 1
-        if hw_point_map(candidate) and not any(
-                d.startswith("hw ") for d in bad_diffs):
-            print("FAIL: self-test — hw-counter gate did not flag an "
-                  "IPC regression")
             return 1
         if not bad_diffs:
             print("FAIL: self-test — comparison did not flag a "
@@ -486,7 +407,7 @@ def main():
     diffs = compare(baseline, candidate, args.counter_tolerance,
                     args.fingerprint_tolerance, args.time_tolerance,
                     quality_tol, args.serving_p99_tolerance,
-                    args.serving_shed_tolerance, args.ipc_tolerance)
+                    args.serving_shed_tolerance)
     if diffs:
         print(f"REGRESSION: {candidate_path} vs {args.baseline}")
         for d in diffs:

@@ -14,9 +14,6 @@ still running:
   - when an SLO file is passed (--slo), expects slo_ok gauges in the scrape,
   - GETs /debug/stacks and expects a symbolized dump that includes the
     registered telemetry thread,
-  - GETs /perf and validates the hardware-counter JSON: boolean "available",
-    and when false (perf-restricted host, sanitizer build) a non-empty
-    "reason" string explaining why,
   - GETs an unknown path and expects a 404 that lists the real endpoints.
 
 Smoke-scale benches finish in milliseconds — faster than the first scrape
@@ -30,7 +27,6 @@ exercised by the same run. Stdlib only, like the other script harnesses.
 """
 
 import argparse
-import json
 import os
 import re
 import subprocess
@@ -178,25 +174,6 @@ def main():
                                   f"body={body[:120]!r}")
                 if "telemetry.http" not in body:
                     errors.append("/debug/stacks: serving thread not in dump")
-                status, ctype, body = http_get(port, "/perf")
-                if status != 200:
-                    errors.append(f"/perf: status={status}")
-                elif "application/json" not in ctype:
-                    errors.append(f"/perf: unexpected content type {ctype!r}")
-                else:
-                    try:
-                        perf = json.loads(body)
-                    except ValueError as e:
-                        perf = None
-                        errors.append(f"/perf: invalid JSON: {e}")
-                    if perf is not None:
-                        available = perf.get("available")
-                        if not isinstance(available, bool):
-                            errors.append("/perf: 'available' must be a "
-                                          f"boolean, got {available!r}")
-                        elif not available and not perf.get("reason"):
-                            errors.append("/perf: counters unavailable but "
-                                          "no 'reason' given")
                 try:
                     status, _, body = http_get(port, "/no/such/endpoint")
                     errors.append(f"unknown path returned {status}, not 404")

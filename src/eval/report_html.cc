@@ -71,7 +71,6 @@ StatusOr<BenchRunSummary> LoadBenchReport(const std::string& path) {
   out.wall_seconds = doc.Get("wall_seconds").AsNumber();
   out.quality = doc.Get("quality");
   out.memory = doc.Get("memory");
-  out.hw_counters = doc.Get("hw_counters");
   return out;
 }
 
@@ -128,9 +127,6 @@ std::string BuildDashboardPayload(const std::vector<BenchRunSummary>& runs) {
     obj += run.quality.is_null() ? "null" : WriteJsonValue(run.quality);
     obj += ",\"memory\":";
     obj += run.memory.is_null() ? "null" : WriteJsonValue(run.memory);
-    obj += ",\"hw_counters\":";
-    obj += run.hw_counters.is_null() ? "null"
-                                     : WriteJsonValue(run.hw_counters);
     obj += '}';
     out += obj;
   }
@@ -263,11 +259,6 @@ td.num, th.num { text-align: right; font-variant-numeric: tabular-nums; }
   <h2>Memory</h2>
   <p class="hint">Process RSS and per-subsystem retained bytes (latest run in scope); deltas compare against the previous run that carries a memory section. Growth shows red because more memory is worse.</p>
   <div id="memtable"></div>
-</div>
-<div class="card" id="roofcard">
-  <h2>Roofline (hardware counters)</h2>
-  <p class="hint">Achieved FLOP/cycle vs arithmetic intensity per profiled op and matmul sweep point, log-log, latest run in scope with measured counters. The roof is the calibration microbenchmark's measured machine peak; points under the sloped segment are memory-bound, points under the flat segment are compute-bound.</p>
-  <div id="roofchart"></div>
 </div>
 <div class="card">
   <h2>Runs</h2>
@@ -729,106 +720,6 @@ function renderMemory(runs) {
   }
 }
 
-function hwOf(run) {
-  return (run.hw_counters && run.hw_counters.available) ? run.hw_counters : null;
-}
-
-// Log-log roofline scatter: ops (s1) and sweep points (s2) at
-// (arithmetic intensity, achieved FLOP/cycle), under the measured roof
-// min(peak_flop, ai * peak_bytes) from the calibration microbenchmark.
-function renderRoofline(runs) {
-  const root = document.getElementById('roofchart');
-  root.textContent = '';
-  const withHw = runs.filter(r => hwOf(r));
-  if (!withHw.length) {
-    const last = runs[runs.length - 1];
-    const reason = last && last.hw_counters && last.hw_counters.reason;
-    el('p', { class: 'empty', text: 'No measured hardware counters in scope' +
-              (reason ? ' — last run: ' + reason : '') + '.' }, root);
-    return;
-  }
-  const latestRun = withHw[withHw.length - 1];
-  const hw = hwOf(latestRun);
-  const pts = [];
-  for (const o of (hw.ops || [])) {
-    if (o.arithmetic_intensity > 0 && o.flop_per_cycle > 0) {
-      pts.push({ name: o.name, ai: o.arithmetic_intensity,
-                 fpc: o.flop_per_cycle, ipc: o.ipc, kind: 'op' });
-    }
-  }
-  for (const s of (hw.sweep || [])) {
-    if (s.arithmetic_intensity > 0 && s.flop_per_cycle > 0) {
-      pts.push({ name: s.label + ' n=' + s.n, ai: s.arithmetic_intensity,
-                 fpc: s.flop_per_cycle, ipc: s.ipc, kind: 'sweep' });
-    }
-  }
-  const cal = (hw.calibration && hw.calibration.measured) ? hw.calibration : null;
-  if (!pts.length) {
-    el('p', { class: 'empty', text: 'Counters measured but no op carries roofline coordinates (enable the op profiler during a counter-armed run).' }, root);
-    return;
-  }
-  el('p', { class: 'hint', text: 'Source: ' + latestRun.file +
-            (cal ? ' · measured peak ' + fmt(cal.flop_per_cycle, 2) +
-                   ' flop/cycle, ' + fmt(cal.bytes_per_cycle, 2) + ' bytes/cycle'
-                 : ' · no calibration (roof not drawn)') }, root);
-  const xs = pts.map(p => p.ai), ys = pts.map(p => p.fpc);
-  if (cal) { ys.push(cal.flop_per_cycle); }
-  const lg = Math.log10;
-  const xmin = Math.floor(lg(Math.min(...xs))) - 0;
-  const xmax = Math.ceil(lg(Math.max(...xs))) + 0;
-  const ymin = Math.floor(lg(Math.min(...ys)));
-  const ymax = Math.ceil(lg(Math.max(...ys)));
-  const W = 560, H = 300, L = 48, R = 16, T = 12, B = 30;
-  const svg = el('svg', { svg: 1, viewBox: `0 0 ${W} ${H}`, width: '100%' }, root);
-  const px = v => L + (W - L - R) * (lg(v) - xmin) / Math.max(xmax - xmin, 1);
-  const py = v => T + (H - T - B) * (1 - (lg(v) - ymin) / Math.max(ymax - ymin, 1));
-  for (let e = ymin; e <= ymax; ++e) {
-    el('line', { svg: 1, x1: L, x2: W - R, y1: py(10 ** e), y2: py(10 ** e),
-                 stroke: css('--grid'), 'stroke-width': 1 }, svg);
-    el('text', { svg: 1, x: L - 6, y: py(10 ** e) + 4, 'text-anchor': 'end',
-                 text: '1e' + e }, svg);
-  }
-  for (let e = xmin; e <= xmax; ++e) {
-    el('text', { svg: 1, x: px(10 ** e), y: H - 8, 'text-anchor': 'middle',
-                 text: '1e' + e }, svg);
-  }
-  el('text', { svg: 1, x: W - R, y: H - 8, 'text-anchor': 'end',
-               text: 'flop/byte' }, svg);
-  el('text', { svg: 1, x: L + 4, y: T + 10, text: 'flop/cycle' }, svg);
-  if (cal) {
-    // The roof: y = min(peak_flop, x * peak_bytes), drawn as two segments
-    // meeting at the ridge point ai = peak_flop / peak_bytes.
-    const ridge = cal.flop_per_cycle / cal.bytes_per_cycle;
-    const x0 = 10 ** xmin, x1 = 10 ** xmax;
-    const seg = (xa, ya, xb, yb) =>
-        el('line', { svg: 1, x1: px(xa), y1: py(ya), x2: px(xb), y2: py(yb),
-                     stroke: css('--axis'), 'stroke-width': 2,
-                     'stroke-dasharray': '6 4' }, svg);
-    if (ridge > x0) {
-      seg(x0, Math.max(x0 * cal.bytes_per_cycle, 10 ** ymin),
-          Math.min(ridge, x1),
-          Math.min(ridge, x1) * cal.bytes_per_cycle);
-    }
-    if (ridge < x1) {
-      seg(Math.max(ridge, x0), cal.flop_per_cycle, x1, cal.flop_per_cycle);
-    }
-  }
-  for (const p of pts) {
-    const color = css(p.kind === 'op' ? '--s1' : '--s2');
-    const dot = el('circle', { svg: 1, cx: px(p.ai), cy: py(p.fpc), r: 5,
-                               fill: color, stroke: css('--surface-1'),
-                               'stroke-width': 1.5 }, svg);
-    dot.addEventListener('pointermove', ev => showTooltip(ev, p.name, [
-      { color, value: fmt(p.fpc, 4), name: 'flop/cycle' },
-      { value: fmt(p.ai, 3), name: 'flop/byte' },
-      { value: fmt(p.ipc, 2), name: 'IPC' },
-    ]));
-    dot.addEventListener('pointerleave', hideTooltip);
-  }
-  legend(root, [{ name: 'profiled ops', color: css('--s1') },
-                { name: 'matmul sweep', color: css('--s2') }], 'swatch');
-}
-
 function renderKpis(runs) {
   const root = document.getElementById('kpis');
   root.textContent = '';
@@ -913,7 +804,6 @@ function render() {
   renderSlices(runs);
   renderDrift(runs);
   renderMemory(runs);
-  renderRoofline(runs);
   renderRuns(runs);
 }
 

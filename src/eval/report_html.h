@@ -20,10 +20,6 @@ struct BenchRunSummary {
   double wall_seconds = 0.0;
   obs::JsonValue quality;
   obs::JsonValue memory;  ///< rss_bytes / rss_peak_bytes / subsystems[]
-  /// The report's "hw_counters" section (availability, calibration peaks,
-  /// per-op roofline coordinates, matmul sweep). Null for runs predating
-  /// the section; {"available": false, ...} on perf-restricted hosts.
-  obs::JsonValue hw_counters;
 };
 
 /// Re-serializes a parsed JsonValue with JsonWriter's deterministic number

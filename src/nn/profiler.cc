@@ -29,18 +29,13 @@ OpProfiler& OpProfiler::Global() {
 }
 
 void OpProfiler::RecordForward(const char* name, double us, double flops,
-                               int64_t bytes,
-                               const obs::HwCounterDelta* hw) {
+                               int64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   Cell& cell = cells_[name];
   cell.calls += 1;
   cell.fwd_us += us;
   cell.flops += flops;
   cell.bytes += bytes;
-  if (hw != nullptr) {
-    cell.hw.Accumulate(*hw);
-    cell.hw_samples += 1;
-  }
 }
 
 void OpProfiler::RecordBackward(const char* name, double us, int64_t bytes) {
@@ -63,8 +58,6 @@ std::vector<OpProfileEntry> OpProfiler::SortedEntries() const {
       e.backward_us = cell.bwd_us;
       e.flops = cell.flops;
       e.bytes = cell.bytes;
-      e.hw = cell.hw;
-      e.hw_samples = cell.hw_samples;
       out.push_back(std::move(e));
     }
   }
@@ -118,17 +111,6 @@ std::string OpProfiler::ToJson() const {
     w.Key("backward_us").Number(e.backward_us);
     w.Key("flops").Number(e.flops);
     w.Key("bytes").Int(e.bytes);
-    // Roofline coordinates, present only for ops that measured at least one
-    // forward counter delta (absent entirely on hosts without a PMU, so the
-    // section shape stays schema-stable either way).
-    if (e.hw_samples > 0 && e.hw.cycles() > 0.0) {
-      w.Key("hw_samples").Int(e.hw_samples);
-      w.Key("cycles").Number(e.hw.cycles());
-      w.Key("ipc").Number(e.hw.ipc());
-      w.Key("flop_per_cycle").Number(e.flops / e.hw.cycles());
-      w.Key("bytes_per_cycle")
-          .Number(static_cast<double>(e.bytes) / e.hw.cycles());
-    }
     w.EndObject();
   }
   w.EndArray();
@@ -148,18 +130,14 @@ OpScope::OpScope(const char* name) {
   prev_op_ = t_current_op;
   t_current_op = name;
   start_bytes_ = MatrixBytesAllocated();
-  hw_.Start();
   start_us_ = obs::NowMicros();
 }
 
 OpScope::~OpScope() {
   if (name_ == nullptr) return;
   const double us = obs::NowMicros() - start_us_;
-  obs::HwCounterDelta hw;
-  const bool measured = hw_.End(&hw);
   OpProfiler::Global().RecordForward(name_, us, flops_,
-                                     MatrixBytesAllocated() - start_bytes_,
-                                     measured ? &hw : nullptr);
+                                     MatrixBytesAllocated() - start_bytes_);
   t_current_op = prev_op_;
 }
 

@@ -8,8 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/hw_counters.h"
-
 namespace trmma {
 namespace nn {
 
@@ -25,13 +23,6 @@ struct OpProfileEntry {
   double backward_us = 0.0;
   double flops = 0.0;
   int64_t bytes = 0;
-  /// Scaled hardware-counter deltas accumulated across forward scopes that
-  /// measured successfully (hw_samples of them; 0 when counters were
-  /// unavailable). Forward-only by design: the FLOP estimates are
-  /// forward-only, so roofline coordinates computed from `hw` stay
-  /// consistent with `flops`/`bytes`.
-  obs::HwCounterDelta hw;
-  int64_t hw_samples = 0;
 
   double total_us() const { return forward_us + backward_us; }
 };
@@ -54,14 +45,7 @@ class OpProfiler {
     enabled_.store(on, std::memory_order_relaxed);
   }
 
-  void RecordForward(const char* name, double us, double flops,
-                     int64_t bytes) {
-    RecordForward(name, us, flops, bytes, nullptr);
-  }
-  /// As above, additionally folding one measured counter delta into the
-  /// op's hw aggregate (hw may be null when the scope did not measure).
-  void RecordForward(const char* name, double us, double flops, int64_t bytes,
-                     const obs::HwCounterDelta* hw);
+  void RecordForward(const char* name, double us, double flops, int64_t bytes);
   void RecordBackward(const char* name, double us, int64_t bytes);
 
   /// Entries sorted by forward+backward time, descending.
@@ -88,8 +72,6 @@ class OpProfiler {
     double bwd_us = 0.0;
     double flops = 0.0;
     int64_t bytes = 0;
-    obs::HwCounterDelta hw;
-    int64_t hw_samples = 0;
   };
 
   static std::atomic<bool> enabled_;
@@ -128,12 +110,6 @@ class OpScope {
   double start_us_ = 0.0;
   int64_t start_bytes_ = 0;
   double flops_ = 0.0;
-  /// Delimited counter read spanning the forward scope. Inert unless both
-  /// the op profiler and the hw-counter subsystem are enabled; nested op
-  /// scopes each carry their own (counters are free-running, so inner
-  /// scopes' cycles are also part of the outer delta — same double-counting
-  /// semantics the wall-time columns already have).
-  obs::HwCounterScope hw_;
 };
 
 }  // namespace nn

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "obs/hw_counters.h"
 #include "obs/json.h"
 #include "obs/stack_walk.h"
 
@@ -105,14 +104,6 @@ Status CpuProfiler::Start(const CpuProfilerConfig& config) {
     return Status::FailedPrecondition(
         "cpu profiler disabled: frame walk unavailable (sanitizer build or "
         "unsupported architecture)");
-  }
-  // Other half of the hw-counter interlock (see HwCounters::Enable):
-  // SIGPROF delivery perturbs the kernel's counter-group scheduling windows
-  // mid-scope, so exactly one of the two subsystems may be armed.
-  if (HwCounters::Enabled()) {
-    return Status::FailedPrecondition(
-        "cpu profiler refused: hardware counters are armed "
-        "(TRMMA_HW_COUNTERS) — disable them before SIGPROF sampling");
   }
   std::lock_guard<TrackedMutex> lock(mu_);
   if (running_.load(std::memory_order_relaxed)) {

@@ -6,7 +6,6 @@
 
 #include "nn/profiler.h"
 #include "obs/flight_recorder.h"
-#include "obs/hw_counters.h"
 #include "obs/json.h"
 #include "obs/mem_stats.h"
 #include "obs/metrics.h"
@@ -87,10 +86,6 @@ std::string RunReport::ToJson() const {
   // Subsystem snapshots are taken outside our lock (separate subsystems).
   const std::string metrics_json = MetricRegistry::Global().JsonDump();
   const std::string op_profile_json = nn::OpProfiler::Global().ToJson();
-  // Always present — on perf-restricted hosts this carries
-  // {"available": false, "reason": ...} so report consumers can tell
-  // "counters were off" from "section was never emitted".
-  const std::string hw_counters_json = HwCounters::Global().SectionJson();
   const std::string training_json = TrainLogger::Global().HasRows()
                                         ? TrainLogger::Global().SummaryJson()
                                         : std::string();
@@ -147,8 +142,6 @@ std::string RunReport::ToJson() const {
     out += ",\"op_profile\":";
     out += op_profile_json;
   }
-  out += ",\"hw_counters\":";
-  out += hw_counters_json;
   if (!training_json.empty()) {
     out += ",\"training\":";
     out += training_json;

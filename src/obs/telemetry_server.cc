@@ -17,7 +17,6 @@
 #include <map>
 
 #include "obs/cpu_profiler.h"
-#include "obs/hw_counters.h"
 #include "obs/json.h"
 #include "obs/mem_stats.h"
 #include "obs/metrics.h"
@@ -191,15 +190,6 @@ HttpResponse Dispatch(const std::string& path, double uptime_us,
     resp.body = SloWatchdog::Global().StatusJson() + "\n";
     return resp;
   }
-  if (path == "/perf") {
-    // Hardware-counter state: availability (with the refusal reason on
-    // perf-restricted hosts), calibration peaks, and per-op roofline
-    // coordinates. Always answers 200 — degraded hosts report
-    // {"available": false, ...} rather than an error.
-    resp.content_type = "application/json";
-    resp.body = HwCounters::Global().SectionJson() + "\n";
-    return resp;
-  }
   if (path == "/pprof") {
     // Live folded-stack profile (drains the sampler's pending epoch).
     CpuProfiler& profiler = CpuProfiler::Global();
@@ -244,10 +234,9 @@ HttpResponse Dispatch(const std::string& path, double uptime_us,
   resp.body = "not found: " + path + "\navailable endpoints:\n";
   static const char* const kEndpoints[] = {
       "/metrics",     "/healthz",      "/statusz",
-      "/tracez",      "/slo",          "/perf",
-      "/pprof",       "/pprof/flame",  "/pprof/json",
-      "/debug/stacks",                 "/debug/postmortem",
-      "/quitz",
+      "/tracez",      "/slo",          "/pprof",
+      "/pprof/flame", "/pprof/json",   "/debug/stacks",
+      "/debug/postmortem",             "/quitz",
   };
   for (const char* endpoint : kEndpoints) {
     resp.body += "  ";

@@ -88,7 +88,6 @@ MatchedTrajectory LinearRecovery::Recover(const Trajectory& sparse,
                                  anchors[i + 1].ratio);
     }
     int idx = route_idx[i];
-    double walked = 0.0;
     for (int j = 1; j <= missing; ++j) {
       const double target = total * j / (missing + 1);
       MatchedPoint a = WalkAlongRoute(network_, route, idx,

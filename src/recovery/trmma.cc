@@ -351,6 +351,47 @@ Status TrmmaRecovery::Load(const std::string& path) {
   return nn::LoadParameters(Parameters(), path);
 }
 
+TrmmaRecovery::TeacherForcing TrmmaRecovery::PrepareTeacherForcing(
+    nn::Tape& tape, const TrajectorySample& sample) {
+  TeacherForcing tf;
+  std::vector<MatchedPoint> anchors(sample.sparse.size());
+  for (size_t i = 0; i < anchors.size(); ++i) {
+    anchors[i] = sample.truth[sample.sparse_indices[i]];
+  }
+  tf.enc_h = EncodeH(tape, sample.sparse, anchors, sample.route);
+  tf.h = ops::MeanRows(tf.enc_h);
+
+  tf.t_begin = sample.sparse.points.front().t;
+  tf.t_span = std::max(sample.sparse.points.back().t - tf.t_begin, 1e-9);
+  tf.prefix = RoutePrefix(network_, sample.route);
+  tf.pfrac = NormalizedPrefix(tf.prefix);
+  tf.observed.assign(sample.truth.size(), 0);
+  for (int si : sample.sparse_indices) tf.observed[si] = 1;
+
+  // Anchor-interpolated expected route fraction of every dense point.
+  tf.expected.assign(sample.truth.size(), 0.0);
+  int cursor = 0;
+  for (size_t g = 0; g + 1 < sample.sparse_indices.size(); ++g) {
+    const int a = sample.sparse_indices[g];
+    const int b = sample.sparse_indices[g + 1];
+    const int idx_a =
+        LocateOnRoute(sample.route, sample.truth[a].segment, cursor);
+    const int idx_b =
+        LocateOnRoute(sample.route, sample.truth[b].segment, idx_a);
+    cursor = idx_a;
+    const double fa = RouteFraction(network_, sample.route, tf.prefix, idx_a,
+                                    sample.truth[a].ratio);
+    const double fb = RouteFraction(network_, sample.route, tf.prefix, idx_b,
+                                    sample.truth[b].ratio);
+    const double dt = std::max(sample.truth[b].t - sample.truth[a].t, 1e-9);
+    for (int j = a; j <= b; ++j) {
+      tf.expected[j] =
+          fa + (fb - fa) * (sample.truth[j].t - sample.truth[a].t) / dt;
+    }
+  }
+  return tf;
+}
+
 double TrmmaRecovery::TrainEpoch(const Dataset& dataset, Rng& rng) {
   TRMMA_SPAN("trmma.train_epoch");
   std::vector<int> order = dataset.train_idx;
@@ -372,45 +413,8 @@ double TrmmaRecovery::TrainEpoch(const Dataset& dataset, Rng& rng) {
     // scheduled sampling: the previous point fed to the decoder is
     // sometimes the model's own prediction so that free-running inference
     // does not drift (exposure-bias mitigation).
-    std::vector<MatchedPoint> anchors(sample.sparse.size());
-    for (size_t i = 0; i < anchors.size(); ++i) {
-      anchors[i] = sample.truth[sample.sparse_indices[i]];
-    }
-    Tensor enc_h = EncodeH(tape, sample.sparse, anchors, sample.route);
-    Tensor h = ops::MeanRows(enc_h);
-
-    const double t_begin = sample.sparse.points.front().t;
-    const double t_span =
-        std::max(sample.sparse.points.back().t - t_begin, 1e-9);
-    const std::vector<double> prefix = RoutePrefix(network_, sample.route);
-    const std::vector<double> pfrac = NormalizedPrefix(prefix);
-    std::vector<char> observed(sample.truth.size(), 0);
-    for (int si : sample.sparse_indices) observed[si] = 1;
-
-    // Anchor-interpolated expected route fraction of every dense point.
-    std::vector<double> expected(sample.truth.size(), 0.0);
-    {
-      int cursor = 0;
-      for (size_t g = 0; g + 1 < sample.sparse_indices.size(); ++g) {
-        const int a = sample.sparse_indices[g];
-        const int b = sample.sparse_indices[g + 1];
-        const int idx_a =
-            LocateOnRoute(sample.route, sample.truth[a].segment, cursor);
-        const int idx_b =
-            LocateOnRoute(sample.route, sample.truth[b].segment, idx_a);
-        cursor = idx_a;
-        const double fa = RouteFraction(network_, sample.route, prefix,
-                                        idx_a, sample.truth[a].ratio);
-        const double fb = RouteFraction(network_, sample.route, prefix,
-                                        idx_b, sample.truth[b].ratio);
-        const double dt =
-            std::max(sample.truth[b].t - sample.truth[a].t, 1e-9);
-        for (int j = a; j <= b; ++j) {
-          expected[j] =
-              fa + (fb - fa) * (sample.truth[j].t - sample.truth[a].t) / dt;
-        }
-      }
-    }
+    const TeacherForcing tf = PrepareTeacherForcing(tape, sample);
+    Tensor h = tf.h;
 
     Tensor loss;
     int num_predicted = 0;
@@ -418,16 +422,16 @@ double TrmmaRecovery::TrainEpoch(const Dataset& dataset, Rng& rng) {
     int prev_route_idx = LocateOnRoute(sample.route, prev.segment, 0);
     for (size_t j = 1; j < sample.truth.size(); ++j) {
       const MatchedPoint& cur = sample.truth[j];
-      const double tau = (cur.t - t_begin) / t_span;
+      const double tau = (cur.t - tf.t_begin) / tf.t_span;
       Tensor h_next;
       Tensor w;
-      StepAndClassify(tape, h, enc_h, pfrac, prev.segment, prev.ratio, tau,
-                      RouteFraction(network_, sample.route, prefix,
-                                    prev_route_idx, prev.ratio),
-                      expected[j], &h_next, &w);
+      StepAndClassify(tape, h, tf.enc_h, tf.pfrac, prev.segment, prev.ratio,
+                      tau, RouteFraction(network_, sample.route, tf.prefix,
+                                         prev_route_idx, prev.ratio),
+                      tf.expected[j], &h_next, &w);
       h = h_next;
 
-      if (observed[j]) {
+      if (tf.observed[j]) {
         prev = cur;
         prev_route_idx =
             LocateOnRoute(sample.route, cur.segment, prev_route_idx);
@@ -445,9 +449,9 @@ double TrmmaRecovery::TrainEpoch(const Dataset& dataset, Rng& rng) {
 
       // Ratio loss (Eq. 20), conditioned on the true segment.
       Tensor ratio = PredictRatio(
-          tape, h, enc_h, w,
-          ExpectedRatio(network_, sample.route, prefix, target_idx,
-                        expected[j]));
+          tape, h, tf.enc_h, w,
+          ExpectedRatio(network_, sample.route, tf.prefix, target_idx,
+                        tf.expected[j]));
       nn::Matrix target_ratio(1, 1);
       target_ratio.at(0, 0) = cur.ratio;
       Tensor ratio_loss = ops::L1Loss(ratio, std::move(target_ratio));
@@ -515,57 +519,23 @@ TrmmaRecovery::TeacherForcedStats TrmmaRecovery::EvaluateTeacherForced(
   for (int idx : indices) {
     const TrajectorySample& sample = dataset.samples[idx];
     if (sample.sparse.size() < 2 || sample.route.empty()) continue;
-    std::vector<MatchedPoint> anchors(sample.sparse.size());
-    for (size_t i = 0; i < anchors.size(); ++i) {
-      anchors[i] = sample.truth[sample.sparse_indices[i]];
-    }
-    Tensor enc_h = EncodeH(tape, sample.sparse, anchors, sample.route);
-    Tensor h = ops::MeanRows(enc_h);
-    const double t_begin = sample.sparse.points.front().t;
-    const double t_span =
-        std::max(sample.sparse.points.back().t - t_begin, 1e-9);
-    const std::vector<double> prefix = RoutePrefix(network_, sample.route);
-    const std::vector<double> pfrac = NormalizedPrefix(prefix);
-    std::vector<char> observed(sample.truth.size(), 0);
-    for (int si : sample.sparse_indices) observed[si] = 1;
-    std::vector<double> expected(sample.truth.size(), 0.0);
-    {
-      int cursor = 0;
-      for (size_t g = 0; g + 1 < sample.sparse_indices.size(); ++g) {
-        const int a = sample.sparse_indices[g];
-        const int b = sample.sparse_indices[g + 1];
-        const int idx_a =
-            LocateOnRoute(sample.route, sample.truth[a].segment, cursor);
-        const int idx_b =
-            LocateOnRoute(sample.route, sample.truth[b].segment, idx_a);
-        cursor = idx_a;
-        const double fa = RouteFraction(network_, sample.route, prefix,
-                                        idx_a, sample.truth[a].ratio);
-        const double fb = RouteFraction(network_, sample.route, prefix,
-                                        idx_b, sample.truth[b].ratio);
-        const double dt =
-            std::max(sample.truth[b].t - sample.truth[a].t, 1e-9);
-        for (int j = a; j <= b; ++j) {
-          expected[j] =
-              fa + (fb - fa) * (sample.truth[j].t - sample.truth[a].t) / dt;
-        }
-      }
-    }
+    const TeacherForcing tf = PrepareTeacherForcing(tape, sample);
+    Tensor h = tf.h;
     int prev_route_idx = 0;
     for (size_t j = 1; j < sample.truth.size(); ++j) {
       const MatchedPoint& prev = sample.truth[j - 1];
       const MatchedPoint& cur = sample.truth[j];
-      const double tau = (cur.t - t_begin) / t_span;
+      const double tau = (cur.t - tf.t_begin) / tf.t_span;
       prev_route_idx =
           LocateOnRoute(sample.route, prev.segment, prev_route_idx);
       Tensor h_next;
       Tensor w;
-      StepAndClassify(tape, h, enc_h, pfrac, prev.segment, prev.ratio, tau,
-                      RouteFraction(network_, sample.route, prefix,
-                                    prev_route_idx, prev.ratio),
-                      expected[j], &h_next, &w);
+      StepAndClassify(tape, h, tf.enc_h, tf.pfrac, prev.segment, prev.ratio,
+                      tau, RouteFraction(network_, sample.route, tf.prefix,
+                                         prev_route_idx, prev.ratio),
+                      tf.expected[j], &h_next, &w);
       h = h_next;
-      if (!observed[j]) {
+      if (!tf.observed[j]) {
         int best = prev_route_idx;
         for (int k = prev_route_idx;
              k < static_cast<int>(sample.route.size()); ++k) {
@@ -573,9 +543,9 @@ TrmmaRecovery::TeacherForcedStats TrmmaRecovery::EvaluateTeacherForced(
         }
         if (sample.route[best] == cur.segment) ++correct;
         Tensor ratio = PredictRatio(
-            tape, h, enc_h, w,
-            ExpectedRatio(network_, sample.route, prefix, best,
-                          expected[j]));
+            tape, h, tf.enc_h, w,
+            ExpectedRatio(network_, sample.route, tf.prefix, best,
+                          tf.expected[j]));
         ratio_err += std::abs(ratio.value().at(0, 0) - cur.ratio);
         ++count;
       }

@@ -133,6 +133,22 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
   nn::Tensor PredictRatio(nn::Tape& tape, nn::Tensor h, nn::Tensor enc_h,
                           nn::Tensor w, double expected_ratio);
 
+  /// What a teacher-forced pass over one sample (training and the
+  /// diagnostic) needs before its first decoder step.
+  struct TeacherForcing {
+    nn::Tensor enc_h;  ///< H over the sparse points and true anchors
+    nn::Tensor h;      ///< initial decoder state: mean of H's rows
+    double t_begin = 0.0;
+    double t_span = 0.0;
+    std::vector<double> prefix;      ///< RoutePrefix of the true route
+    std::vector<double> pfrac;       ///< prefix normalised to [0, 1]
+    std::vector<char> observed;      ///< per dense point: is a sparse point
+    std::vector<double> expected;    ///< per dense point: anchor-interpolated
+                                     ///< expected route fraction
+  };
+  TeacherForcing PrepareTeacherForcing(nn::Tape& tape,
+                                       const TrajectorySample& sample);
+
   /// Sequential decode (Algorithm 2 lines 2-16) of one route section: the
   /// sparse sub-trajectory `sparse` with per-point `anchors`, all of whose
   /// segments lie on the connected `route`. Tape-free fast path.

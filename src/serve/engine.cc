@@ -9,7 +9,6 @@
 #include "common/fault_points.h"
 #include "common/logging.h"
 #include "obs/flight_recorder.h"
-#include "obs/hw_counters.h"
 #include "obs/json_parse.h"
 #include "obs/metrics.h"
 #include "obs/postmortem.h"
@@ -128,19 +127,9 @@ ServeEngine::~ServeEngine() { Stop(); }
 void ServeEngine::PreRegisterMetrics() {
   if (!obs::MetricsEnabled()) return;
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-  // Cycle/cache-miss accounting needs its own bucket grids: a request can
-  // burn 1e10+ cycles, far past the ~6.7e7 top of the default latency
-  // bounds (bounds are fixed at first registration, so they are pinned
-  // here before any Observe can register the family with defaults).
-  const std::vector<double> cycle_bounds =
-      obs::Histogram::ExponentialBounds(1e4, 4.0, 16);
-  const std::vector<double> miss_bounds =
-      obs::Histogram::ExponentialBounds(100.0, 4.0, 14);
   for (const char* cls : {"match", "recover"}) {
     reg.GetCounter("serve.requests.total", {{"class", cls}});
     reg.GetHistogram("serve.latency.us", {{"class", cls}});
-    reg.GetHistogram("serve.cycles", {{"class", cls}}, cycle_bounds);
-    reg.GetHistogram("serve.llc_misses", {{"class", cls}}, miss_bounds);
     reg.GetGauge("serve.breaker.state", {{"class", cls}})->Set(0.0);
   }
   for (const char* outcome : {"success", "degraded", "shed", "timeout"}) {
@@ -465,10 +454,6 @@ void ServeEngine::Execute(const Task& task, Worker* worker) {
   ServeResponse resp;
   Status status;
   bool pipeline_degraded = false;
-  // Cycle accounting brackets exactly the worker execution (not queueing or
-  // finalization), so the per-class histograms answer "which request class
-  // burns the machine" rather than "which class waits the longest".
-  obs::HwCounterScope hw_scope(true);
   {
     TRMMA_SPAN("serve.execute");
     obs::RequestScope scope(kind == RequestKind::kMatch ? "serve.match"
@@ -489,19 +474,6 @@ void ServeEngine::Execute(const Task& task, Worker* worker) {
                                 ? "degraded"
                                 : "ok");
       if (!status.ok()) rec->error = status.message();
-    }
-  }
-  obs::HwCounterDelta hw;
-  if (hw_scope.End(&hw) && obs::MetricsEnabled()) {
-    obs::MetricRegistry& reg = obs::MetricRegistry::Global();
-    const char* cls = RequestKindName(kind);
-    // The exemplars tie heavy-tail buckets back to a concrete trace, the
-    // same way the latency histogram does in Finalize.
-    reg.GetHistogram("serve.cycles", {{"class", cls}})
-        ->Observe(hw.cycles(), req->trace_id);
-    if (hw.measured[obs::kHwLlcMisses]) {
-      reg.GetHistogram("serve.llc_misses", {{"class", cls}})
-          ->Observe(hw.value[obs::kHwLlcMisses], req->trace_id);
     }
   }
   resp.pipeline_degraded = pipeline_degraded;

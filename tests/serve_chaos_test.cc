@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <future>
 #include <limits>
@@ -10,6 +11,7 @@
 #include "eval/experiment.h"
 #include "obs/metrics.h"
 #include "robust/fault_injection.h"
+#include "robust/pipeline.h"
 #include "serve/session.h"
 #include "tests/test_util.h"
 
@@ -290,6 +292,87 @@ TEST_F(ServeChaosFixture, FaultInjectedRampStaysAccountable) {
       "serve.outcome.total", &outcomes_metric));
   EXPECT_GE(outcomes_metric, 96);
   if (!metrics_were_on) obs::SetTraceMode(obs::TraceMode::kOff);
+}
+
+// Served answers equal offline answers: every worker is rebuilt from the
+// stack through a weight save/load, and must still answer exactly as the
+// stack itself does. With no deadline and no faults the engine has no
+// reason to touch an answer, so match sections and recovered points must
+// agree bit for bit, and a recovery is degraded only when it is offline.
+TEST_F(ServeChaosFixture, ServedAnswersEqualOfflineAnswers) {
+  FaultInjector no_faults{FaultInjectionConfig{}};
+  serve::ServeConfig config;
+  config.threads = 2;
+  config.queue_cap = 2 * static_cast<int>(dataset_->test_idx.size());
+  config.deadline_ms = 0.0;
+  config.faults = &no_faults;
+  auto session = MakeSession(config);
+  ASSERT_NE(session, nullptr);
+
+  std::vector<std::future<serve::ServeResponse>> matches;
+  std::vector<std::future<serve::ServeResponse>> recovers;
+  for (int idx : dataset_->test_idx) {
+    const TrajectorySample& sample = dataset_->samples[idx];
+    serve::ServeRequest match;
+    match.kind = serve::RequestKind::kMatch;
+    match.traj = sample.raw;
+    matches.push_back(session->Submit(std::move(match)));
+    serve::ServeRequest recover;
+    recover.kind = serve::RequestKind::kRecover;
+    recover.traj = sample.sparse;
+    recover.epsilon = dataset_->epsilon_s;
+    recovers.push_back(session->Submit(std::move(recover)));
+  }
+
+  PipelineConfig pipeline_config;
+  pipeline_config.sanitize = session->config().sanitize;
+  pipeline_config.epsilon = dataset_->epsilon_s;
+  RobustRecoveryPipeline pipeline(stack_->trmma.get(), pipeline_config);
+  for (size_t i = 0; i < dataset_->test_idx.size(); ++i) {
+    SCOPED_TRACE("test sample " + std::to_string(dataset_->test_idx[i]));
+    const TrajectorySample& sample = dataset_->samples[dataset_->test_idx[i]];
+
+    const serve::ServeResponse served_match = matches[i].get();
+    ASSERT_TRUE(served_match.status.ok())
+        << served_match.status.ToString();
+    EXPECT_EQ(served_match.outcome, serve::Outcome::kSuccess);
+    const std::vector<SegmentId> segments =
+        stack_->mma->MatchPoints(sample.raw);
+    EXPECT_EQ(served_match.match.segments, segments);
+    const std::vector<RouteSection> sections = StitchRouteSections(
+        *dataset_->network, *stack_->planner, *stack_->engine, segments);
+    ASSERT_EQ(served_match.match.sections.size(), sections.size());
+    for (size_t s = 0; s < sections.size(); ++s) {
+      EXPECT_EQ(served_match.match.sections[s].route, sections[s].route);
+      EXPECT_EQ(served_match.match.sections[s].first_point,
+                sections[s].first_point);
+      EXPECT_EQ(served_match.match.sections[s].last_point,
+                sections[s].last_point);
+    }
+
+    const serve::ServeResponse served_recover = recovers[i].get();
+    const PipelineResult offline = pipeline.RunSanitized(sample.sparse);
+    EXPECT_EQ(served_recover.status.ok(), !offline.failed())
+        << served_recover.status.ToString();
+    EXPECT_FALSE(served_recover.deadline_degraded);
+    EXPECT_EQ(served_recover.pipeline_degraded,
+              offline.outcome != RecoveryOutcome::kOk);
+    ASSERT_EQ(served_recover.recovered.size(), offline.recovered.size());
+    for (size_t p = 0; p < offline.recovered.size(); ++p) {
+      const MatchedPoint& got = served_recover.recovered[p];
+      const MatchedPoint& want = offline.recovered[p];
+      EXPECT_EQ(got.segment, want.segment) << "point " << p;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.ratio),
+                std::bit_cast<uint64_t>(want.ratio))
+          << "point " << p;
+      EXPECT_EQ(std::bit_cast<uint64_t>(got.t), std::bit_cast<uint64_t>(want.t))
+          << "point " << p;
+    }
+  }
+  session->Stop();
+  const serve::ServeStats stats = session->stats();
+  EXPECT_TRUE(stats.Consistent());
+  EXPECT_EQ(stats.retries, 0);
 }
 
 }  // namespace

@@ -94,7 +94,9 @@ TEST(SegmentRTreeTest, WithinRadiusMatchesBruteForce) {
     // Every hit within radius, sorted.
     for (size_t i = 0; i < hits.size(); ++i) {
       EXPECT_LE(hits[i].distance, radius);
-      if (i > 0) EXPECT_LE(hits[i - 1].distance, hits[i].distance + 1e-12);
+      if (i > 0) {
+        EXPECT_LE(hits[i - 1].distance, hits[i].distance + 1e-12);
+      }
     }
     // Count matches brute force.
     int expected = 0;

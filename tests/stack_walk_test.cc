@@ -116,7 +116,9 @@ TEST(StackWalkTest, CaptureThreadStackTargetsOneThread) {
   ASSERT_TRUE(ThreadRegistry::Global().CaptureThreadStack(CurrentThreadId(),
                                                           &stack));
   EXPECT_EQ(stack.tid, CurrentThreadId());
-  if (StackWalkSupported()) EXPECT_GT(stack.depth, 0);
+  if (StackWalkSupported()) {
+    EXPECT_GT(stack.depth, 0);
+  }
   // Unknown tids are reported as failures, not garbage.
   EXPECT_FALSE(ThreadRegistry::Global().CaptureThreadStack(1, &stack));
 }

@@ -161,6 +161,10 @@ TEST(TelemetryServerTest, UnknownPathIs404AndQueryStringsAreStripped) {
   ServerGuard server;
   const std::string missing = HttpGet(server->port(), "/nope");
   EXPECT_NE(missing.find("HTTP/1.0 404"), std::string::npos);
+  EXPECT_NE(missing.find("  /pprof\n"), std::string::npos);
+  const std::string perf = HttpGet(server->port(), "/perf");
+  EXPECT_NE(perf.find("HTTP/1.0 404"), std::string::npos);
+  EXPECT_EQ(perf.find("  /perf\n"), std::string::npos);
   const std::string with_query = HttpGet(server->port(), "/healthz?probe=1");
   EXPECT_NE(with_query.find("HTTP/1.0 200"), std::string::npos);
 }
