@@ -49,6 +49,11 @@ Status RoadNetwork::Finalize() {
   projection_ = LocalProjection(
       LatLng{lat / nodes_.size(), lng / nodes_.size()});
   for (auto& n : nodes_) n.xy = projection_.ToMeters(n.pos);
+  const Vec2& first = nodes_.front().xy;
+  xy_bounds_ = BBox{first.x, first.y, first.x, first.y};
+  for (const auto& n : nodes_) {
+    xy_bounds_ = BBox::Union(xy_bounds_, BBox{n.xy.x, n.xy.y, n.xy.x, n.xy.y});
+  }
 
   out_segments_.assign(nodes_.size(), {});
   in_segments_.assign(nodes_.size(), {});

@@ -102,6 +102,10 @@ class RoadNetwork {
   /// min-max normalization range of the learned models' point features.
   const LatLngBounds& bounds() const { return bounds_; }
 
+  /// Planar bounding box of all intersections, computed once by
+  /// Finalize().
+  const BBox& xy_bounds() const { return xy_bounds_; }
+
   /// Maximum out-degree over all nodes (the paper's deg~).
   int MaxOutDegree() const;
 
@@ -117,6 +121,7 @@ class RoadNetwork {
   std::vector<std::vector<SegmentId>> in_segments_;
   LocalProjection projection_;
   LatLngBounds bounds_;
+  BBox xy_bounds_;
 };
 
 }  // namespace trmma

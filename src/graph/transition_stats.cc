@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
+#include <functional>
 
 #include "common/logging.h"
 #include "graph/shortest_path.h"
@@ -12,6 +12,10 @@ namespace {
 
 // Strength of the historical-popularity term in the planner cost.
 constexpr double kPopularityWeight = 0.25;
+
+// Scales the A* heuristic just below the straight-line distance, far more
+// than the few ulps its rounding can add.
+constexpr double kHeuristicShrink = 1.0 - 1e-9;
 
 }  // namespace
 
@@ -48,9 +52,21 @@ double TransitionStats::Probability(SegmentId from, SegmentId to) const {
 
 DaRoutePlanner::DaRoutePlanner(const RoadNetwork& network,
                                const TransitionStats& stats)
-    : network_(network), stats_(stats) {
-  cost_.assign(network.num_segments(), ShortestPathEngine::kInfinity);
-  prev_.assign(network.num_segments(), kInvalidSegment);
+    : network_(network) {
+  const int n = network.num_segments();
+  first_.assign(n + 1, 0);
+  for (SegmentId e = 0; e < n; ++e) {
+    for (SegmentId next : network.NextSegments(e)) {
+      if (next == e) continue;
+      const double nll = -std::log(stats.Probability(e, next));
+      next_.push_back(next);
+      step_.push_back(network.segment(next).length_m *
+                      (1.0 + kPopularityWeight * nll));
+    }
+    first_[e + 1] = static_cast<int>(next_.size());
+  }
+  cost_.assign(n, ShortestPathEngine::kInfinity);
+  prev_.assign(n, kInvalidSegment);
 }
 
 PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
@@ -66,32 +82,39 @@ PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
     prev_[sid] = kInvalidSegment;
   }
   touched_.clear();
+  heap_.clear();
 
-  using QueueItem = std::pair<double, SegmentId>;
-  std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>> queue;
+  // A*: h(e) is the straight-line distance from the end of e to the end of
+  // `to`, a lower bound on the cost of any route between them, shrunk so
+  // rounding cannot make it overestimate (DESIGN.md §16).
+  const Vec2 target = network_.SegmentEndXy(to);
+  auto push = [&](SegmentId e, double g) {
+    const double h =
+        (network_.SegmentEndXy(e) - target).Norm() * kHeuristicShrink;
+    heap_.emplace_back(g + h, e, g);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+  };
   cost_[from] = 0.0;
   touched_.push_back(from);
-  queue.push({0.0, from});
+  push(from, 0.0);
 
-  while (!queue.empty()) {
-    const auto [c, e] = queue.top();
-    queue.pop();
-    if (c > cost_[e]) continue;
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const SegmentId e = std::get<1>(heap_.back());
+    const double g = std::get<2>(heap_.back());
+    heap_.pop_back();
+    if (g > cost_[e]) continue;
     if (e == to) break;
-    if (c > max_cost) break;
-    for (SegmentId next : network_.NextSegments(e)) {
-      if (next == e) continue;
-      const double nll = -std::log(stats_.Probability(e, next));
-      const double step = network_.segment(next).length_m *
-                          (1.0 + kPopularityWeight * nll);
-      const double nc = c + step;
+    for (int i = first_[e]; i < first_[e + 1]; ++i) {
+      const SegmentId next = next_[i];
+      const double nc = g + step_[i];
       if (nc < cost_[next] && nc <= max_cost) {
         if (cost_[next] == ShortestPathEngine::kInfinity) {
           touched_.push_back(next);
         }
         cost_[next] = nc;
         prev_[next] = e;
-        queue.push({nc, next});
+        push(next, nc);
       }
     }
   }

@@ -1,6 +1,7 @@
 #ifndef TRMMA_GRAPH_TRANSITION_STATS_H_
 #define TRMMA_GRAPH_TRANSITION_STATS_H_
 
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -44,7 +45,15 @@ class TransitionStats {
 /// transitions. Cost of entering segment e' from e is
 ///   length(e') * (1 + kPopularityWeight * (-log P(e'|e)))
 /// so the planner stays goal-directed (length term) but favors observed
-/// driving behaviour; with no statistics it degrades to shortest path.
+/// driving behaviour. With no statistics P(e'|e) is 1/fanout(e), so each
+/// step costs length(e') * (1 + kPopularityWeight * ln fanout(e)): the
+/// planner then prefers roads through low-fanout intersections, not the
+/// plain shortest path.
+///
+/// Every step cost is computed once, at construction, so `stats` must be
+/// final by then: routes added to it later do not reach the planner.
+/// Plan() is an A* search under a consistent straight-line heuristic
+/// (DESIGN.md §16).
 class DaRoutePlanner {
  public:
   DaRoutePlanner(const RoadNetwork& network, const TransitionStats& stats);
@@ -58,11 +67,20 @@ class DaRoutePlanner {
   PathResult Plan(SegmentId from, SegmentId to, double max_cost = 3.0e4);
 
  private:
+  /// Queue entry: estimated total cost f = g + h, segment, cost so far g.
+  /// Popped in (f, segment) order.
+  using QueueItem = std::tuple<double, SegmentId, double>;
+
   const RoadNetwork& network_;
-  const TransitionStats& stats_;
+  // Step costs in CSR form: the transitions out of segment e are
+  // next_[i], entered at cost step_[i], for i in [first_[e], first_[e+1]).
+  std::vector<int> first_;
+  std::vector<SegmentId> next_;
+  std::vector<double> step_;
   std::vector<double> cost_;
   std::vector<SegmentId> prev_;
   std::vector<int> touched_;
+  std::vector<QueueItem> heap_;
 };
 
 }  // namespace trmma

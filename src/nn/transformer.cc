@@ -39,7 +39,7 @@ void TransformerLayer::Infer(double* x, int rows) const {
 
 TransformerEncoder::TransformerEncoder(int model_dim, int num_heads,
                                        int ffn_dim, int num_layers, Rng& rng)
-    : model_dim_(model_dim) {
+    : model_dim_(model_dim), pe_freq_(PositionalFrequencies(model_dim)) {
   for (int i = 0; i < num_layers; ++i) {
     layers_.push_back(
         std::make_unique<TransformerLayer>(model_dim, num_heads, ffn_dim, rng));
@@ -49,8 +49,8 @@ TransformerEncoder::TransformerEncoder(int model_dim, int num_heads,
 
 Tensor TransformerEncoder::Forward(Tensor x) {
   Tensor h = ops::Add(
-      x, ops::Input(*x.tape(),
-                    SinusoidalPositionalEncoding(x.rows(), model_dim_)));
+      x, ops::Input(*x.tape(), SinusoidalPositionalEncoding(
+                                   x.rows(), model_dim_, pe_freq_.data())));
   for (auto& layer : layers_) h = layer->Forward(h);
   return h;
 }
@@ -59,25 +59,33 @@ void TransformerEncoder::Infer(double* x, int rows) const {
   ScratchFrame frame;
   double* pe = Scratch::Raw(model_dim_);
   for (int pos = 0; pos < rows; ++pos) {
-    PositionalEncodingRow(pos, model_dim_, pe);
+    PositionalEncodingRow(pos, model_dim_, pe_freq_.data(), pe);
     double* row = x + pos * model_dim_;
     for (int c = 0; c < model_dim_; ++c) row[c] += pe[c];
   }
   for (const auto& layer : layers_) layer->Infer(x, rows);
 }
 
-void PositionalEncodingRow(int pos, int dim, double* out) {
+std::vector<double> PositionalFrequencies(int dim) {
+  std::vector<double> freq;
   for (int i = 0; i < dim; i += 2) {
-    const double freq = std::pow(10000.0, -static_cast<double>(i) / dim);
-    out[i] = std::sin(pos * freq);
-    if (i + 1 < dim) out[i + 1] = std::cos(pos * freq);
+    freq.push_back(std::pow(10000.0, -static_cast<double>(i) / dim));
+  }
+  return freq;
+}
+
+void PositionalEncodingRow(int pos, int dim, const double* freq,
+                           double* out) {
+  for (int i = 0; i < dim; i += 2) {
+    out[i] = std::sin(pos * freq[i / 2]);
+    if (i + 1 < dim) out[i + 1] = std::cos(pos * freq[i / 2]);
   }
 }
 
-Matrix SinusoidalPositionalEncoding(int len, int dim) {
+Matrix SinusoidalPositionalEncoding(int len, int dim, const double* freq) {
   Matrix pe(len, dim);
   for (int pos = 0; pos < len; ++pos) {
-    PositionalEncodingRow(pos, dim, pe.row(pos));
+    PositionalEncodingRow(pos, dim, freq, pe.row(pos));
   }
   return pe;
 }

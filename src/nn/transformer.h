@@ -46,14 +46,20 @@ class TransformerEncoder : public Module {
 
  private:
   int model_dim_;
+  std::vector<double> pe_freq_;  ///< PositionalFrequencies(model_dim_)
   std::vector<std::unique_ptr<TransformerLayer>> layers_;
 };
 
-/// Sinusoidal positional encoding matrix (len x dim).
-Matrix SinusoidalPositionalEncoding(int len, int dim);
+/// Frequencies of the sinusoidal positional encoding, one per column pair:
+/// freq[i / 2] = 10000^(-i / dim) for even i < dim.
+std::vector<double> PositionalFrequencies(int dim);
 
-/// Row `pos` of it (`dim` values).
-void PositionalEncodingRow(int pos, int dim, double* out);
+/// Row `pos` of the encoding (`dim` values) over PositionalFrequencies(dim):
+/// sin(pos * freq) in the even columns, cos(pos * freq) in the odd ones.
+void PositionalEncodingRow(int pos, int dim, const double* freq, double* out);
+
+/// Its first `len` rows as a matrix (len x dim).
+Matrix SinusoidalPositionalEncoding(int len, int dim, const double* freq);
 
 }  // namespace nn
 }  // namespace trmma

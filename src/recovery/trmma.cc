@@ -8,6 +8,7 @@
 #include "common/stopwatch.h"
 #include "nn/kernel.h"
 #include "nn/ops.h"
+#include "nn/scratch.h"
 #include "nn/serialize.h"
 #include "nn/telemetry.h"
 #include "obs/flight_recorder.h"
@@ -48,13 +49,13 @@ TrmmaRecovery::TrmmaRecovery(const RoadNetwork& network, MapMatcher* matcher,
 
 namespace {
 
-/// Min-max normalized [lat, lng, t, ratio] block of T0 (Eq. 11).
-nn::Matrix AnchorFeatures(const RoadNetwork& network, const Trajectory& sparse,
-                          const std::vector<MatchedPoint>& anchors) {
-  nn::Matrix z(sparse.size(), 4);
-  NormalizedPointFeatures(network, sparse, z.data(), 4);
-  for (int i = 0; i < sparse.size(); ++i) z.at(i, 3) = anchors[i].ratio;
-  return z;
+/// Min-max normalized [lat, lng, t, ratio] block of T0 (Eq. 11), one row
+/// per sparse point, written with row stride `ld`.
+void AnchorFeatures(const RoadNetwork& network, const Trajectory& sparse,
+                    const std::vector<MatchedPoint>& anchors, double* out,
+                    int ld) {
+  NormalizedPointFeatures(network, sparse, out, ld);
+  for (int i = 0; i < sparse.size(); ++i) out[i * ld + 3] = anchors[i].ratio;
 }
 
 /// Prefix sums of expected (free-flow) traversal times along the route:
@@ -69,6 +70,28 @@ std::vector<double> RoutePrefix(const RoadNetwork& network,
     prefix[k + 1] = prefix[k] + seg.length_m / seg.speed_mps;
   }
   return prefix;
+}
+
+/// Geometric features of the R branch (Eq. 12), one row per route segment,
+/// written with row stride `ld`: normalized length, cumulative-distance
+/// fraction, speed and cumulative-time fraction, each at the segment's
+/// midpoint. They substitute for what the paper's W7 embeddings learn from
+/// millions of trips (DESIGN.md §2).
+void RouteFeatures(const RoadNetwork& network, const Route& route,
+                   double* out, int ld) {
+  const double total_len = std::max(RouteLength(network, route), 1e-9);
+  const std::vector<double> time_prefix = RoutePrefix(network, route);
+  const double total_time = std::max(time_prefix.back(), 1e-9);
+  double cum = 0.0;
+  for (size_t k = 0; k < route.size(); ++k) {
+    const RoadSegment& seg = network.segment(route[k]);
+    double* row = out + k * ld;
+    row[0] = seg.length_m / 500.0;
+    row[1] = (cum + 0.5 * seg.length_m) / total_len;
+    row[2] = seg.speed_mps / 30.0;
+    row[3] = (time_prefix[k] + 0.5 * seg.length_m / seg.speed_mps) / total_time;
+    cum += seg.length_m;
+  }
 }
 
 /// Cumulative expected-time fraction of position (idx, ratio).
@@ -241,30 +264,16 @@ Tensor TrmmaRecovery::EncodeH(nn::Tape& tape, const Trajectory& sparse,
   for (size_t i = 0; i < anchors.size(); ++i) {
     anchor_ids[i] = anchors[i].segment;
   }
-  Tensor t0 = ops::ConcatCols(
-      ops::Input(tape, AnchorFeatures(network_, sparse, anchors)),
-      seg_table_.Forward(tape, anchor_ids));
+  nn::Matrix afeat(sparse.size(), 4);
+  AnchorFeatures(network_, sparse, anchors, afeat.data(), 4);
+  Tensor t0 = ops::ConcatCols(ops::Input(tape, std::move(afeat)),
+                              seg_table_.Forward(tape, anchor_ids));
   Tensor t_mat = trans_t_.Forward(t0_fc_.Forward(t0));
 
-  // R branch (Eq. 12): id embedding plus geometric features (normalized
-  // length, cumulative-distance fraction, speed, cumulative-time fraction)
-  // -> FC -> Trans. The geometric features substitute for what the paper's
-  // W7 embeddings learn from millions of trips (DESIGN.md §2).
+  // R branch (Eq. 12): id embedding plus geometric features -> FC -> Trans.
   std::vector<int> route_ids(route.begin(), route.end());
-  const double total_len = std::max(RouteLength(network_, route), 1e-9);
-  const std::vector<double> time_prefix = RoutePrefix(network_, route);
-  const double total_time = std::max(time_prefix.back(), 1e-9);
   nn::Matrix rfeat(static_cast<int>(route.size()), 4);
-  double cum = 0.0;
-  for (size_t k = 0; k < route.size(); ++k) {
-    const RoadSegment& seg = network_.segment(route[k]);
-    rfeat.at(k, 0) = seg.length_m / 500.0;
-    rfeat.at(k, 1) = (cum + 0.5 * seg.length_m) / total_len;
-    rfeat.at(k, 2) = seg.speed_mps / 30.0;
-    rfeat.at(k, 3) =
-        (time_prefix[k] + 0.5 * seg.length_m / seg.speed_mps) / total_time;
-    cum += seg.length_m;
-  }
+  RouteFeatures(network_, route, rfeat.data(), 4);
   Tensor r1 = route_fc_.Forward(
       ops::ConcatCols(seg_table_.Forward(tape, route_ids),
                       ops::Input(tape, std::move(rfeat))));
@@ -275,6 +284,65 @@ Tensor TrmmaRecovery::EncodeH(nn::Tape& tape, const Trajectory& sparse,
   // Cross attention (Eq. 13-14): H = R + softmax(R T^T) T.
   Tensor beta = ops::SoftmaxRows(ops::MatMul(r_mat, ops::Transpose(t_mat)));
   return ops::Add(r_mat, ops::MatMul(beta, t_mat));
+}
+
+void TrmmaRecovery::EncodeInfer(const Trajectory& sparse,
+                                const std::vector<MatchedPoint>& anchors,
+                                const Route& route, double* out) const {
+  TRMMA_SPAN("trmma.encode");
+  using nn::Scratch;
+  const int n = sparse.size();
+  const int len = static_cast<int>(route.size());
+  const int dh = config_.dh;
+  const nn::Matrix& table = seg_table_.table().value;
+  nn::ScratchFrame frame;
+
+  // T branch: [lat,lng,t,r | W7 row] -> W6 -> Trans_T.
+  double* t0 = Scratch::Raw(static_cast<size_t>(n) * (4 + dh));
+  AnchorFeatures(network_, sparse, anchors, t0, 4 + dh);
+  for (int i = 0; i < n; ++i) {
+    std::copy_n(table.row(anchors[i].segment), dh, t0 + i * (4 + dh) + 4);
+  }
+  double* t = Scratch::Raw(static_cast<size_t>(n) * dh);
+  t0_fc_.Infer(t0, n, 4 + dh, t, dh);
+  trans_t_.Infer(t, n);
+
+  // R branch: [W7 row | geometric features] -> FC -> Trans_R, written
+  // straight into `out`, which is H under the TRMMA-DF ablation.
+  double* r0 = Scratch::Raw(static_cast<size_t>(len) * (dh + 4));
+  for (int k = 0; k < len; ++k) {
+    std::copy_n(table.row(route[k]), dh, r0 + k * (dh + 4));
+  }
+  RouteFeatures(network_, route, r0 + dh, dh + 4);
+  route_fc_.Infer(r0, len, dh + 4, out, dh);
+  trans_r_.Infer(out, len);
+  if (!config_.use_dualformer) return;
+
+  // H = R + softmax(R T^T) T: the products of ops::MatMul, each into a
+  // zeroed block, with T^T materialised as ops::Transpose does.
+  double* tt = Scratch::Raw(static_cast<size_t>(dh) * n);
+  for (int i = 0; i < n; ++i) {
+    for (int c = 0; c < dh; ++c) tt[c * n + i] = t[i * dh + c];
+  }
+  double* beta = Scratch::Zeros(static_cast<size_t>(len) * n);
+  nn::Gemm(len, n, dh, out, dh, 1, tt, n, beta, n);
+  for (int k = 0; k < len; ++k) nn::SoftmaxRow(beta + k * n, n);
+  double* bt = Scratch::Zeros(static_cast<size_t>(len) * dh);
+  nn::Gemm(len, dh, n, beta, n, 1, t, dh, bt, dh);
+  for (int i = 0; i < len * dh; ++i) out[i] += bt[i];
+}
+
+std::vector<double> TrmmaRecovery::RouteEncoding(
+    const Trajectory& sparse, const std::vector<MatchedPoint>& anchors,
+    const Route& route, bool on_tape) {
+  if (on_tape) {
+    nn::Tape tape;
+    const nn::Matrix& h = EncodeH(tape, sparse, anchors, route).value();
+    return std::vector<double>(h.data(), h.data() + h.size());
+  }
+  std::vector<double> h(route.size() * config_.dh);
+  EncodeInfer(sparse, anchors, route, h.data());
+  return h;
 }
 
 void TrmmaRecovery::StepAndClassify(nn::Tape& tape, Tensor h_in, Tensor enc_h,
@@ -738,25 +806,24 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   MatchedTrajectory out;
   const int route_len = static_cast<int>(route.size());
 
-  // Lines 5-6: DualFormer encoding (once, on the tape) + initial state.
-  nn::Tape tape;
-  const nn::Matrix enc = EncodeH(tape, sparse, anchors, route).value();
+  // Lines 5-6: DualFormer encoding (once, tape-free) + initial state.
+  nn::ScratchFrame frame;
   const int dh = config_.dh;
+  double* enc = nn::Scratch::Raw(static_cast<size_t>(route_len) * dh);
+  EncodeInfer(sparse, anchors, route, enc);
   std::vector<double> h(dh, 0.0);
   for (int k = 0; k < route_len; ++k) {
-    for (int j = 0; j < dh; ++j) h[j] += enc.at(k, j);
+    for (int j = 0; j < dh; ++j) h[j] += enc[k * dh + j];
   }
   for (int j = 0; j < dh; ++j) h[j] /= route_len;
-  tape.Clear();
 
   // Precompute the step-invariant classifier term: H * W8[0:dh] (the
   // classifier input layout is [H_k | h | align0..2]).
   const MlpView cls = ViewMlp(cls_mlp_);
   const MlpView rat = ViewMlp(ratio_mlp_);
   const nn::Matrix& gamma = seg_table_.table().value;
-  nn::Matrix cls_h_part(route_len, dh);
-  nn::Gemm(route_len, dh, dh, enc.data(), dh, 1, cls.w1->data(), dh,
-           cls_h_part.data(), dh);
+  double* cls_h_part = nn::Scratch::Zeros(static_cast<size_t>(route_len) * dh);
+  nn::Gemm(route_len, dh, dh, enc, dh, 1, cls.w1->data(), dh, cls_h_part, dh);
 
   // GRU weight views (GruCell parameter order: wz,uz,bz,wr,ur,br,wh,uh,bh).
   auto gru_params = gru_.Parameters();
@@ -788,6 +855,7 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
   std::vector<double> tmp;
   std::vector<double> w(route_len);
   std::vector<double> u_part;
+  std::vector<double> in(2 * dh + 1);
   auto gru_step = [&](SegmentId prev_seg, double prev_ratio, double tau,
                       double prev_frac, double expected_frac) {
     const double* emb = gamma.row(prev_seg);
@@ -828,7 +896,7 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
       const double a1 = mid[k] - prev_frac;
       const double a2 = mid[k] - tau;
       double acc = cls.b2->at(0, 0);
-      const double* hk = cls_h_part.row(k);
+      const double* hk = cls_h_part + k * dh;
       for (int j = 0; j < dh; ++j) {
         const double pre =
             hk[j] + u_part[j] + a0 * a0w[j] + a1 * a1w[j] + a2 * a2w[j];
@@ -852,10 +920,10 @@ MatchedTrajectory TrmmaRecovery::DecodeSectionFast(
       tmp[k] = std::exp(w[k] - mx);
       sum += tmp[k];
     }
-    std::vector<double> in(2 * dh + 1, 0.0);
     for (int j = 0; j < dh; ++j) in[j] = h[j];
+    std::fill_n(in.begin() + dh, dh, 0.0);
     for (int k = 0; k < route_len; ++k) tmp[k] /= sum;  // psi
-    nn::Gemm(1, dh, route_len, tmp.data(), route_len, 1, enc.data(), dh,
+    nn::Gemm(1, dh, route_len, tmp.data(), route_len, 1, enc, dh,
              in.data() + dh, dh);
     in[2 * dh] = expected_ratio;
     nn::AffineInfer(in.data(), 1, 2 * dh + 1, *rat.w1, *rat.b1, gh.data(), dh);

@@ -57,11 +57,12 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
   /// average per-point loss.
   double TrainEpoch(const Dataset& dataset, Rng& rng);
 
-  /// Fast inference (Algorithm 2): the DualFormer encoding runs once on
-  /// the autograd tape; the sequential decode then runs tape-free with the
-  /// step-invariant part of the classifier (H * W8_top) precomputed per
-  /// trajectory — the engineering behind the paper's inference-speed
-  /// claim.
+  /// Fast inference (Algorithm 2): the DualFormer encoding runs once per
+  /// route section, tape-free over const weights (EncodeInfer); the
+  /// sequential decode then runs tape-free too, with the step-invariant
+  /// part of the classifier (H * W8_top) precomputed per section — the
+  /// engineering behind the paper's inference-speed claim. No Matrix is
+  /// allocated.
   MatchedTrajectory Recover(const Trajectory& sparse,
                             double epsilon) override;
 
@@ -86,6 +87,14 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
   StatusOr<MatchedTrajectory> TryRecoverReference(
       const Trajectory& sparse, double epsilon,
       RecoverStats* stats = nullptr);
+
+  /// DualFormer encoding H of a (sparse points, matched anchors, route)
+  /// triple, flat and row-major (route.size() x dh). `on_tape` picks the
+  /// training encoder (EncodeH) instead of the tape-free EncodeInfer; the
+  /// two agree bit for bit. Exposed for differential tests.
+  std::vector<double> RouteEncoding(const Trajectory& sparse,
+                                    const std::vector<MatchedPoint>& anchors,
+                                    const Route& route, bool on_tape);
 
   std::string name() const override { return label_; }
 
@@ -112,6 +121,13 @@ class TrmmaRecovery : public RecoveryMethod, public nn::Module {
   nn::Tensor EncodeH(nn::Tape& tape, const Trajectory& sparse,
                      const std::vector<MatchedPoint>& anchors,
                      const Route& route);
+
+  /// EncodeH over const weights without a tape, bit-identical to it
+  /// (DESIGN.md §16): writes H (route.size() x dh, row-major) into `out`.
+  /// Temporaries come from the thread's scratch arena.
+  void EncodeInfer(const Trajectory& sparse,
+                   const std::vector<MatchedPoint>& anchors,
+                   const Route& route, double* out) const;
 
   /// Advances the GRU with the previous point and emits classification
   /// logits over the route (Eq. 15). `seg_time_frac` holds each route

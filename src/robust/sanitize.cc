@@ -12,19 +12,6 @@ bool IsFinitePoint(const GpsPoint& p) {
          std::isfinite(p.t);
 }
 
-BBox NetworkBBox(const RoadNetwork& network) {
-  BBox box;
-  for (NodeId i = 0; i < network.num_nodes(); ++i) {
-    const Vec2& xy = network.node(i).xy;
-    if (i == 0) {
-      box = BBox{xy.x, xy.y, xy.x, xy.y};
-    } else {
-      box = BBox::Union(box, BBox{xy.x, xy.y, xy.x, xy.y});
-    }
-  }
-  return box;
-}
-
 void CountReport(const SanitizeReport& report, bool failed) {
   if (!obs::MetricsEnabled()) return;
   obs::MetricRegistry& reg = obs::MetricRegistry::Global();
@@ -62,8 +49,8 @@ std::vector<Trajectory> SanitizeTrajectory(const Trajectory& traj,
   const bool have_net =
       config.network != nullptr && config.network->num_nodes() > 0;
   const BBox box = have_net
-                       ? NetworkBBox(*config.network)
-                             .Expanded(config.bbox_margin_m)
+                       ? config.network->xy_bounds().Expanded(
+                             config.bbox_margin_m)
                        : BBox{};
 
   // Projection for meter-space distances: the network's when available,

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "common/random.h"
@@ -104,12 +106,42 @@ TEST(TransformerTest, EncoderPreservesShape) {
 }
 
 TEST(TransformerTest, PositionalEncodingValues) {
-  Matrix pe = SinusoidalPositionalEncoding(4, 6);
+  const std::vector<double> freq = PositionalFrequencies(6);
+  Matrix pe = SinusoidalPositionalEncoding(4, 6, freq.data());
   EXPECT_DOUBLE_EQ(pe.at(0, 0), 0.0);  // sin(0)
   EXPECT_DOUBLE_EQ(pe.at(0, 1), 1.0);  // cos(0)
   EXPECT_NEAR(pe.at(1, 0), std::sin(1.0), 1e-12);
   // Position matters: different rows differ.
   EXPECT_NE(pe.at(1, 0), pe.at(2, 0));
+
+  // The frequencies are computed once per encoder; every element must keep
+  // the bits of the per-element form, which evaluated pow for each one.
+  auto per_element = [](int pos, int dim, double* out) {
+    for (int i = 0; i < dim; i += 2) {
+      const double f = std::pow(10000.0, -static_cast<double>(i) / dim);
+      out[i] = std::sin(pos * f);
+      if (i + 1 < dim) out[i + 1] = std::cos(pos * f);
+    }
+  };
+  for (int dim : {1, 6, 16, 32, 33}) {
+    const std::vector<double> f = PositionalFrequencies(dim);
+    ASSERT_EQ(f.size(), static_cast<size_t>((dim + 1) / 2));
+    const Matrix table = SinusoidalPositionalEncoding(500, dim, f.data());
+    std::vector<double> want(dim);
+    std::vector<double> got(dim);
+    for (int pos = 0; pos < 500; ++pos) {
+      per_element(pos, dim, want.data());
+      PositionalEncodingRow(pos, dim, f.data(), got.data());
+      for (int i = 0; i < dim; ++i) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(got[i]),
+                  std::bit_cast<uint64_t>(want[i]))
+            << "dim " << dim << " pos " << pos << " col " << i;
+        ASSERT_EQ(std::bit_cast<uint64_t>(table.at(pos, i)),
+                  std::bit_cast<uint64_t>(want[i]))
+            << "dim " << dim << " pos " << pos << " col " << i;
+      }
+    }
+  }
 }
 
 TEST(TransformerTest, OrderSensitivity) {

@@ -1,11 +1,104 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <queue>
+
 #include "common/random.h"
+#include "gen/presets.h"
 #include "graph/transition_stats.h"
 #include "tests/test_util.h"
 
 namespace trmma {
 namespace {
+
+/// The planner's search before it became A*: plain Dijkstra evaluating each
+/// step cost from the statistics on every relaxation. The reference the A*
+/// planner must agree with.
+class ReferenceDijkstraPlanner {
+ public:
+  ReferenceDijkstraPlanner(const RoadNetwork& network,
+                           const TransitionStats& stats)
+      : network_(network), stats_(stats) {}
+
+  PathResult Plan(SegmentId from, SegmentId to, double max_cost = 3.0e4) {
+    PathResult result;
+    if (from == to) {
+      result.found = true;
+      result.segments = {from};
+      return result;
+    }
+    std::vector<double> cost(network_.num_segments(),
+                             ShortestPathEngine::kInfinity);
+    std::vector<SegmentId> prev(network_.num_segments(), kInvalidSegment);
+    using QueueItem = std::pair<double, SegmentId>;
+    std::priority_queue<QueueItem, std::vector<QueueItem>, std::greater<>>
+        queue;
+    cost[from] = 0.0;
+    queue.push({0.0, from});
+    while (!queue.empty()) {
+      const auto [c, e] = queue.top();
+      queue.pop();
+      if (c > cost[e]) continue;
+      if (e == to) break;
+      if (c > max_cost) break;
+      for (SegmentId next : network_.NextSegments(e)) {
+        if (next == e) continue;
+        const double nll = -std::log(stats_.Probability(e, next));
+        const double step =
+            network_.segment(next).length_m * (1.0 + 0.25 * nll);
+        const double nc = c + step;
+        if (nc < cost[next] && nc <= max_cost) {
+          cost[next] = nc;
+          prev[next] = e;
+          queue.push({nc, next});
+        }
+      }
+    }
+    if (cost[to] == ShortestPathEngine::kInfinity) return result;
+    result.found = true;
+    result.distance_m = cost[to];
+    for (SegmentId at = to; at != kInvalidSegment; at = prev[at]) {
+      result.segments.push_back(at);
+    }
+    std::reverse(result.segments.begin(), result.segments.end());
+    return result;
+  }
+
+ private:
+  const RoadNetwork& network_;
+  const TransitionStats& stats_;
+};
+
+/// Same `found`, same segments and the same bits of `distance_m`.
+::testing::AssertionResult SamePath(const PathResult& got,
+                                    const PathResult& want) {
+  if (got.found != want.found) {
+    return ::testing::AssertionFailure()
+           << "found " << got.found << " vs " << want.found;
+  }
+  if (got.segments != want.segments) {
+    return ::testing::AssertionFailure()
+           << "routes differ: " << got.segments.size() << " vs "
+           << want.segments.size() << " segments";
+  }
+  if (std::bit_cast<uint64_t>(got.distance_m) !=
+      std::bit_cast<uint64_t>(want.distance_m)) {
+    return ::testing::AssertionFailure()
+           << "distance " << got.distance_m << " vs " << want.distance_m;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+SegmentId FindSegment(const RoadNetwork& g, NodeId from, NodeId to) {
+  for (SegmentId s = 0; s < g.num_segments(); ++s) {
+    if (g.segment(s).from == from && g.segment(s).to == to) return s;
+  }
+  return kInvalidSegment;
+}
 
 TEST(TransitionStatsTest, CountsRoutes) {
   auto g = test::MakeGrid(4, 1, 100.0);
@@ -120,6 +213,93 @@ TEST(DaRoutePlannerTest, BudgetExhaustionReturnsNotFound) {
   }
   auto r = planner.Plan(east.front(), east.back(), /*max_cost=*/50.0);
   EXPECT_FALSE(r.found);
+}
+
+// Every consecutive truth-anchor pair of each city's smoke-scale test split,
+// both ways, random pairs, and budgets at and below each route's cost: the
+// A* planner must return the reference Dijkstra's answer bit for bit.
+TEST(DaRoutePlannerTest, AStarMatchesDijkstraOnCityPresets) {
+  for (const std::string& city : CityNames()) {
+    SCOPED_TRACE(city);
+    auto dataset = BuildCityDatasetByName(city, city == "BJ" ? 50 : 80);
+    ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+    const RoadNetwork& g = *dataset->network;
+    TransitionStats stats(g);
+    for (int idx : dataset->train_idx) {
+      stats.AddRoute(dataset->samples[idx].route);
+    }
+    DaRoutePlanner planner(g, stats);
+    ReferenceDijkstraPlanner reference(g, stats);
+
+    std::vector<std::pair<SegmentId, SegmentId>> pairs;
+    for (int idx : dataset->test_idx) {
+      const TrajectorySample& sample = dataset->samples[idx];
+      for (size_t i = 0; i + 1 < sample.sparse_indices.size(); ++i) {
+        const SegmentId a = sample.truth[sample.sparse_indices[i]].segment;
+        const SegmentId b = sample.truth[sample.sparse_indices[i + 1]].segment;
+        pairs.push_back({a, b});
+        pairs.push_back({b, a});
+      }
+    }
+    const size_t anchor_pairs = pairs.size();
+    EXPECT_GT(anchor_pairs, 50u);
+    Rng rng(17);
+    for (int i = 0; i < 300; ++i) {
+      pairs.push_back(
+          {static_cast<SegmentId>(rng.UniformInt(g.num_segments())),
+           static_cast<SegmentId>(rng.UniformInt(g.num_segments()))});
+    }
+
+    int found = 0;
+    int ran_out = 0;
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const auto [a, b] = pairs[p];
+      const PathResult want = reference.Plan(a, b);
+      ASSERT_TRUE(SamePath(planner.Plan(a, b), want))
+          << "pair " << p << ": " << a << " -> " << b;
+      if (!want.found || want.distance_m <= 0.0) continue;
+      ++found;
+      // A budget of exactly the route's cost still finds it; half of it
+      // runs out.
+      for (double budget : {want.distance_m, 0.5 * want.distance_m}) {
+        const PathResult capped = reference.Plan(a, b, budget);
+        ran_out += capped.found ? 0 : 1;
+        ASSERT_TRUE(SamePath(planner.Plan(a, b, budget), capped))
+            << "pair " << p << ": " << a << " -> " << b << " budget "
+            << budget;
+      }
+    }
+    EXPECT_GT(found, static_cast<int>(anchor_pairs) / 2);
+    EXPECT_GT(ran_out, 0);
+  }
+}
+
+// Without statistics every step of a 2x2 grid costs the same, so from the
+// south-west corner there are two cheapest routes to the segment leaving
+// the north-east corner. The route is only promised to be one of them.
+TEST(DaRoutePlannerTest, AStarTieKeepsAnEqualCostRoute) {
+  auto g = test::MakeGrid(2, 2, 100.0);
+  ASSERT_NE(g, nullptr);
+  TransitionStats stats(*g);
+  DaRoutePlanner planner(*g, stats);
+  ReferenceDijkstraPlanner reference(*g, stats);
+  // Nodes: 0 SW, 1 SE, 2 NW, 3 NE. Enter 0 from 1, leave 3 towards 1.
+  const SegmentId from = FindSegment(*g, 1, 0);
+  const SegmentId to = FindSegment(*g, 3, 1);
+  ASSERT_NE(from, kInvalidSegment);
+  ASSERT_NE(to, kInvalidSegment);
+  const PathResult want = reference.Plan(from, to);
+  ASSERT_TRUE(want.found);
+  ASSERT_EQ(want.segments.size(), 4u);
+
+  const PathResult got = planner.Plan(from, to);
+  ASSERT_TRUE(got.found);
+  EXPECT_EQ(got.segments.size(), 4u);
+  EXPECT_EQ(got.segments.front(), from);
+  EXPECT_EQ(got.segments.back(), to);
+  EXPECT_TRUE(IsConnectedRoute(*g, got.segments));
+  EXPECT_EQ(std::bit_cast<uint64_t>(got.distance_m),
+            std::bit_cast<uint64_t>(want.distance_m));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 
 #include "eval/metrics.h"
 #include "mm/hmm.h"
@@ -215,6 +216,60 @@ TEST_F(TrmmaFixture, FastDecodeMatchesReference) {
       EXPECT_EQ(fast[i].segment, ref[i].segment) << "point " << i;
       EXPECT_NEAR(fast[i].ratio, ref[i].ratio, 1e-9) << "point " << i;
     }
+  }
+}
+
+::testing::AssertionResult SameBits(const std::vector<double>& a,
+                                    const std::vector<double>& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<uint64_t>(a[i]) != std::bit_cast<uint64_t>(b[i])) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The tape-free DualFormer encoder the fast decode runs must give H with
+// the bits of the training encoder on the tape, with the cross attention
+// on and off (TRMMA-DF), over every trajectory of the test split.
+TEST_F(TrmmaFixture, TapeFreeEncodeMatchesTapeBitForBit) {
+  for (bool dualformer : {true, false}) {
+    SCOPED_TRACE(dualformer ? "DualFormer" : "TRMMA-DF");
+    TrmmaConfig config = SmallConfig();
+    config.use_dualformer = dualformer;
+    TrmmaRecovery trmma(*dataset_->network, mma_, planner_, engine_, config);
+    Rng rng(12);
+    trmma.TrainEpoch(*dataset_, rng);
+    size_t values = 0;
+    for (int idx : dataset_->test_idx) {
+      const TrajectorySample& sample = dataset_->samples[idx];
+      std::vector<MatchedPoint> anchors;
+      for (int si : sample.sparse_indices) anchors.push_back(sample.truth[si]);
+      const std::vector<double> fast =
+          trmma.RouteEncoding(sample.sparse, anchors, sample.route, false);
+      ASSERT_EQ(fast.size(), sample.route.size() * config.dh);
+      ASSERT_TRUE(SameBits(
+          fast,
+          trmma.RouteEncoding(sample.sparse, anchors, sample.route, true)))
+          << "sample " << idx;
+      values += fast.size();
+    }
+    EXPECT_GT(values, 10000u);
+
+    // One point on a one-segment route.
+    const TrajectorySample& sample = dataset_->samples[dataset_->test_idx[0]];
+    Trajectory one;
+    one.points.push_back(sample.sparse.points.front());
+    const std::vector<MatchedPoint> anchor = {
+        sample.truth[sample.sparse_indices.front()]};
+    const Route route = {anchor.front().segment};
+    EXPECT_TRUE(SameBits(trmma.RouteEncoding(one, anchor, route, false),
+                         trmma.RouteEncoding(one, anchor, route, true)));
   }
 }
 
