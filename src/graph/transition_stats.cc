@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "common/logging.h"
 #include "graph/shortest_path.h"
@@ -52,21 +53,37 @@ double TransitionStats::Probability(SegmentId from, SegmentId to) const {
 
 DaRoutePlanner::DaRoutePlanner(const RoadNetwork& network,
                                const TransitionStats& stats)
-    : network_(network) {
+    : DaRoutePlanner(network, BuildSteps(network, stats)) {}
+
+DaRoutePlanner::DaRoutePlanner(const RoadNetwork& network,
+                               std::shared_ptr<const Steps> steps)
+    : network_(network),
+      steps_(std::move(steps)),
+      cost_(network.num_segments(), ShortestPathEngine::kInfinity),
+      prev_(network.num_segments(), kInvalidSegment) {}
+
+std::shared_ptr<const DaRoutePlanner::Steps> DaRoutePlanner::BuildSteps(
+    const RoadNetwork& network, const TransitionStats& stats) {
   const int n = network.num_segments();
-  first_.assign(n + 1, 0);
+  auto steps = std::make_shared<Steps>();
+  steps->first.assign(n + 1, 0);
   for (SegmentId e = 0; e < n; ++e) {
     for (SegmentId next : network.NextSegments(e)) {
       if (next == e) continue;
       const double nll = -std::log(stats.Probability(e, next));
-      next_.push_back(next);
-      step_.push_back(network.segment(next).length_m *
-                      (1.0 + kPopularityWeight * nll));
+      steps->next.push_back(next);
+      steps->step.push_back(network.segment(next).length_m *
+                            (1.0 + kPopularityWeight * nll));
     }
-    first_[e + 1] = static_cast<int>(next_.size());
+    steps->first[e + 1] = static_cast<int>(steps->next.size());
   }
-  cost_.assign(n, ShortestPathEngine::kInfinity);
-  prev_.assign(n, kInvalidSegment);
+  return steps;
+}
+
+std::unique_ptr<DaRoutePlanner> DaRoutePlanner::SharingSteps(
+    const DaRoutePlanner& shared) {
+  return std::unique_ptr<DaRoutePlanner>(
+      new DaRoutePlanner(shared.network_, shared.steps_));
 }
 
 PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
@@ -98,6 +115,9 @@ PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
   touched_.push_back(from);
   push(from, 0.0);
 
+  const int* first = steps_->first.data();
+  const SegmentId* next_of = steps_->next.data();
+  const double* step = steps_->step.data();
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const SegmentId e = std::get<1>(heap_.back());
@@ -105,9 +125,9 @@ PathResult DaRoutePlanner::Plan(SegmentId from, SegmentId to,
     heap_.pop_back();
     if (g > cost_[e]) continue;
     if (e == to) break;
-    for (int i = first_[e]; i < first_[e + 1]; ++i) {
-      const SegmentId next = next_[i];
-      const double nc = g + step_[i];
+    for (int i = first[e]; i < first[e + 1]; ++i) {
+      const SegmentId next = next_of[i];
+      const double nc = g + step[i];
       if (nc < cost_[next] && nc <= max_cost) {
         if (cost_[next] == ShortestPathEngine::kInfinity) {
           touched_.push_back(next);

@@ -1,6 +1,7 @@
 #ifndef TRMMA_GRAPH_TRANSITION_STATS_H_
 #define TRMMA_GRAPH_TRANSITION_STATS_H_
 
+#include <memory>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -58,6 +59,12 @@ class DaRoutePlanner {
  public:
   DaRoutePlanner(const RoadNetwork& network, const TransitionStats& stats);
 
+  /// A planner over `shared`'s step table, with search state of its own.
+  /// The table is never written after construction, so planners sharing it
+  /// may plan on different threads while it exists once.
+  static std::unique_ptr<DaRoutePlanner> SharingSteps(
+      const DaRoutePlanner& shared);
+
   DaRoutePlanner(const DaRoutePlanner&) = delete;
   DaRoutePlanner& operator=(const DaRoutePlanner&) = delete;
 
@@ -71,12 +78,22 @@ class DaRoutePlanner {
   /// Popped in (f, segment) order.
   using QueueItem = std::tuple<double, SegmentId, double>;
 
+  /// Step costs in CSR form: the transitions out of segment e are next[i],
+  /// entered at cost step[i], for i in [first[e], first[e+1]).
+  struct Steps {
+    std::vector<int> first;
+    std::vector<SegmentId> next;
+    std::vector<double> step;
+  };
+
+  DaRoutePlanner(const RoadNetwork& network,
+                 std::shared_ptr<const Steps> steps);
+  static std::shared_ptr<const Steps> BuildSteps(const RoadNetwork& network,
+                                                 const TransitionStats& stats);
+
   const RoadNetwork& network_;
-  // Step costs in CSR form: the transitions out of segment e are
-  // next_[i], entered at cost step_[i], for i in [first_[e], first_[e+1]).
-  std::vector<int> first_;
-  std::vector<SegmentId> next_;
-  std::vector<double> step_;
+  std::shared_ptr<const Steps> steps_;
+  // Search state, reset by each Plan call.
   std::vector<double> cost_;
   std::vector<SegmentId> prev_;
   std::vector<int> touched_;

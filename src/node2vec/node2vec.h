@@ -28,6 +28,18 @@ struct Node2VecConfig {
 nn::Matrix TrainNode2Vec(const RoadNetwork& network,
                          const Node2VecConfig& config, Rng& rng);
 
+namespace node2vec_internal {
+
+/// The two implementations behind TrainNode2Vec, which takes the AVX2 one
+/// when nn::kernel_internal::HasAvx2(); exposed so tests can hold each to
+/// the same bits on any x86-64 host.
+nn::Matrix TrainNode2VecPortable(const RoadNetwork& network,
+                                 const Node2VecConfig& config, Rng& rng);
+/// Requires nn::kernel_internal::HasAvx2().
+nn::Matrix TrainNode2VecAvx2(const RoadNetwork& network,
+                             const Node2VecConfig& config, Rng& rng);
+
+}  // namespace node2vec_internal
 }  // namespace trmma
 
 #endif  // TRMMA_NODE2VEC_NODE2VEC_H_

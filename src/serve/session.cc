@@ -17,14 +17,14 @@ namespace serve {
 namespace {
 
 /// One worker's private execution context. The network, spatial index and
-/// transition statistics are shared read-only; everything with mutable
-/// state (Dijkstra scratch, model decode scratch) is owned per worker.
+/// the planner's step table are shared read-only; everything with mutable
+/// state (search scratch, model decode scratch) is owned per worker.
 class StackWorker : public Worker {
  public:
   StackWorker(const ExperimentStack& stack, const SessionConfig& config)
       : network_(*stack.dataset->network),
         engine_(std::make_unique<ShortestPathEngine>(network_)),
-        planner_(std::make_unique<DaRoutePlanner>(network_, *stack.stats)),
+        planner_(DaRoutePlanner::SharingSteps(*stack.planner)),
         mma_(std::make_unique<MmaMatcher>(network_, *stack.index,
                                           stack.mma->config())),
         trmma_(std::make_unique<TrmmaRecovery>(
@@ -101,9 +101,9 @@ std::string StagingPath(const char* tag) {
 StatusOr<std::unique_ptr<ServingSession>> ServingSession::Create(
     ExperimentStack& stack, const SessionConfig& config) {
   if (stack.dataset == nullptr || stack.dataset->network == nullptr ||
-      stack.index == nullptr || stack.stats == nullptr) {
+      stack.index == nullptr || stack.planner == nullptr) {
     return Status::InvalidArgument(
-        "serving session needs a built stack (dataset, index, stats)");
+        "serving session needs a built stack (dataset, index, planner)");
   }
   if (stack.mma == nullptr || stack.trmma == nullptr) {
     return Status::InvalidArgument(

@@ -23,11 +23,11 @@ struct SessionConfig {
 /// Session/facade over a trained ExperimentStack: a concurrent serving
 /// engine whose workers each hold a private execution context (route
 /// planner scratch and model clones) over the stack's shared immutable
-/// substrates (network, spatial index, transition statistics).
+/// substrates (network, spatial index, the planner's step table).
 ///
 /// Create snapshots the stack's trained MMA/TRMMA weights and loads them
 /// into per-worker clones, because the matcher and recovery models keep
-/// mutable decode scratch and the planners keep Dijkstra scratch — none of
+/// mutable decode scratch and the planners keep search scratch — none of
 /// which is thread-safe to share. The stack must outlive the session; the
 /// session never mutates it.
 class ServingSession {

@@ -302,5 +302,34 @@ TEST(DaRoutePlannerTest, AStarTieKeepsAnEqualCostRoute) {
             std::bit_cast<uint64_t>(want.distance_m));
 }
 
+// A planner sharing another's step table plans with its own search state:
+// interleaving calls on the two gives each the routes it gives alone.
+TEST(DaRoutePlannerTest, SharingStepsPlansTheSameRoutes) {
+  auto dataset = BuildCityDatasetByName("PT", 60);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  const RoadNetwork& g = *dataset->network;
+  TransitionStats stats(g);
+  for (int idx : dataset->train_idx) {
+    stats.AddRoute(dataset->samples[idx].route);
+  }
+  DaRoutePlanner owner(g, stats);
+  DaRoutePlanner alone(g, stats);
+  const std::unique_ptr<DaRoutePlanner> sharing =
+      DaRoutePlanner::SharingSteps(owner);
+  Rng rng(31);
+  int found = 0;
+  for (int i = 0; i < 300; ++i) {
+    const auto a = static_cast<SegmentId>(rng.UniformInt(g.num_segments()));
+    const auto b = static_cast<SegmentId>(rng.UniformInt(g.num_segments()));
+    const PathResult want = alone.Plan(a, b);
+    found += want.found ? 1 : 0;
+    // Each planner's previous search ended elsewhere.
+    ASSERT_TRUE(SamePath(sharing->Plan(a, b), want)) << a << " -> " << b;
+    ASSERT_TRUE(SamePath(owner.Plan(b, a), alone.Plan(b, a)))
+        << b << " -> " << a;
+  }
+  EXPECT_GT(found, 150);
+}
+
 }  // namespace
 }  // namespace trmma
